@@ -254,6 +254,9 @@ def run_cli(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; the input is too large", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -154,6 +154,16 @@ def is_connected(h: GraphLike) -> bool:
     return count == h.n
 
 
+def check_solver_controls(tol: float, max_iter: int = 1) -> None:
+    """Reject an iteration's controls unless tol is finite and in (0, 1)
+    and max_iter is at least 1. A NaN or infinite tol would otherwise make
+    every stopping test fail or pass at once."""
+    if not 0.0 < tol < 1.0:  # also false for NaN
+        raise ValueError(f"tol must be finite and in (0, 1), got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+
+
 def remove_edge(h: GraphLike, index: int) -> GraphLike:
     """Copy of h with the edge at the given position deleted.
 

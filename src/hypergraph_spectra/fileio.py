@@ -10,9 +10,10 @@ Hypergraph files::
     hypergraph <k> <n> <m>
     <v1> ... <vk>    (m lines of k distinct 0-based indices)
 
-Anything after a ``#`` is a comment; blank lines are skipped. Serialization
-is canonical: every edge ascending, edges in lexicographic order, ``\\n``
-line endings.
+Anything after a ``#`` is a comment; blank lines are skipped. A header
+may declare at most MAX_VERTICES vertices, so a hostile header is refused
+before anything is sized by it. Serialization is canonical: every edge
+ascending, edges in lexicographic order, ``\\n`` line endings.
 """
 
 from __future__ import annotations
@@ -20,12 +21,18 @@ from __future__ import annotations
 from .core import Hypergraph, SimpleGraph
 
 __all__ = [
+    "MAX_VERTICES",
     "ParseError",
     "parse_graph",
     "serialize_graph",
     "parse_hypergraph",
     "serialize_hypergraph",
 ]
+
+
+# Far above any input the library handles in reasonable time, far below
+# what would exhaust memory in the n-sized buffers and bitmasks built later.
+MAX_VERTICES = 1_000_000
 
 
 class ParseError(ValueError):
@@ -61,6 +68,9 @@ def _parse_body(text: str, magic: str, header_arity: int):
     if len(tokens) != 1 + header_arity:
         raise ParseError(f"line {lineno}: {magic!r} header takes {header_arity} integers")
     header = _ints(tokens[1:], lineno)
+    n = header[-2]  # both headers end in "<n> <m>"
+    if n > MAX_VERTICES:
+        raise ParseError(f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}")
     return header, list(lines)
 
 

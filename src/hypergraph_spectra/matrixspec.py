@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import cycle_plus_pendant
-from .core import SimpleGraph, is_connected
+from .core import SimpleGraph, check_solver_controls, is_connected
 
 __all__ = [
     "adjacency_matrix",
@@ -56,8 +56,7 @@ def _bracketed_power_iteration(
 ) -> tuple[float, np.ndarray]:
     """Spectral radius and max-normalized positive eigenvector of a
     nonnegative irreducible matrix, via power iteration on m + I."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_solver_controls(tol, max_iter)
     n = m.shape[0]
     x = np.ones(n)
     for _ in range(max_iter):
@@ -99,8 +98,7 @@ def beta_n(n: int, tol: float = 1e-12) -> float:
     """
     if n < 1:
         raise ValueError("index must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_solver_controls(tol)
     if n == 1:
         return 1.0
 

@@ -37,8 +37,7 @@ class ParitySystem:
             raise ValueError("variable count must be nonnegative")
         if len(self.rows) != len(self.rhs):
             raise ValueError("rows and rhs differ in length")
-        limit = 1 << self.n_vars
-        if any(not 0 <= r < limit for r in self.rows):
+        if any(r < 0 or r.bit_length() > self.n_vars for r in self.rows):
             raise ValueError("row mask out of range")
         if any(b not in (0, 1) for b in self.rhs):
             raise ValueError("rhs entries must be 0 or 1")
@@ -52,29 +51,39 @@ def parity_system(h: Hypergraph) -> ParitySystem:
 
 def gf2_solve(system: ParitySystem) -> int | None:
     """One solution as a bitmask, free variables forced to 0; None when
-    the system is inconsistent."""
+    the system is inconsistent.
+
+    Lazy row echelon: each stored row is keyed by its lowest set bit, its
+    pivot column. An incoming row (variables in bits 0..n-1, rhs in bit n)
+    is XORed with the stored row of its current lowest bit until that bit
+    is new; a row that reduces to the rhs bit alone is a contradiction. One
+    back-substitution in decreasing pivot order then sets each pivot to its
+    rhs plus the parity of the already-fixed variables in its row.
+
+    The mask is bit-identical to eager Gauss-Jordan elimination's. Every
+    row obtained from an incoming one by adding earlier rows, and whose
+    lowest bit is not yet a pivot, has that same lowest bit. So both
+    methods pick the same pivot columns, and with free variables at 0 the
+    solution is unique.
+    """
     n = system.n_vars
-    var_mask = (1 << n) - 1
-    pivots: list[tuple[int, int]] = []  # (pivot column, reduced augmented row)
+    pivots: dict[int, int] = {}  # pivot column -> augmented row
     for mask, b in zip(system.rows, system.rhs):
         row = mask | (b << n)
-        for col, prow in pivots:
-            if (row >> col) & 1:
-                row ^= prow
-        if row & var_mask:
-            low = row & -row
-            col = low.bit_length() - 1
-            for i, (c, p) in enumerate(pivots):
-                if (p >> col) & 1:
-                    pivots[i] = (c, p ^ row)
-            pivots.append((col, row))
-        elif row >> n:
-            return None
+        while row:
+            col = (row & -row).bit_length() - 1
+            prow = pivots.get(col)
+            if prow is None:
+                if col == n:
+                    return None
+                pivots[col] = row
+                break
+            row ^= prow
     x = 0
-    for col, prow in pivots:
-        # After full reduction each pivot row holds its pivot plus free
-        # columns only; with free variables at 0 the pivot equals the rhs.
-        if prow >> n:
+    rhs_bit = 1 << n
+    for col in sorted(pivots, reverse=True):
+        # Bits above col in the row are pivots fixed already or free at 0.
+        if (pivots[col] & (x | rhs_bit)).bit_count() & 1:
             x |= 1 << col
     return x
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import BlowupMap
-from .core import Hypergraph
+from .core import Hypergraph, check_solver_controls, is_connected
 
 __all__ = [
     "ImplicitTensor",
@@ -99,20 +99,12 @@ class AdjacencyTensor(ImplicitTensor):
         np.cumprod(X[:, :-1], axis=1, out=left[:, 1:])
         right = np.ones_like(X)
         np.cumprod(X[:, :0:-1], axis=1, out=right[:, -2::-1])
-        out = np.zeros(self.dim)
-        np.add.at(out, E, left * right)
-        return out
+        # bincount adds in the same order as np.add.at, at a fraction of the cost.
+        return np.bincount(E.ravel(), weights=(left * right).ravel(), minlength=self.dim)
 
     def row_sums(self) -> np.ndarray:
         # Each incident edge contributes (k-1)! entries of 1/(k-1)!.
         return self._deg.copy()
-
-    def _arc_lists(self) -> list[list[int]]:
-        nbr: list[set[int]] = [set() for _ in range(self.dim)]
-        for e in self.hypergraph.edges:
-            for u in e:
-                nbr[u].update(w for w in e if w != u)
-        return [sorted(s) for s in nbr]
 
 
 class SignlessLaplacianTensor(ImplicitTensor):
@@ -133,11 +125,6 @@ class SignlessLaplacianTensor(ImplicitTensor):
 
     def row_sums(self) -> np.ndarray:
         return 2.0 * self._deg
-
-    def _arc_lists(self) -> list[list[int]]:
-        # The diagonal only adds self-arcs, which never change strong
-        # connectivity.
-        return self._adj._arc_lists()
 
 
 class DenseTensor(ImplicitTensor):
@@ -278,9 +265,16 @@ def _tarjan_scc(adj: list[list[int]]) -> int:
 def weakly_irreducible(t: ImplicitTensor) -> bool:
     """True when the digraph carried by the nonzero pattern (arc i -> j for
     every positive entry with first index i and j among the others) is
-    strongly connected. For adjacency and signless Laplacian tensors this
-    digraph is the co-occurrence graph, so the test matches hypergraph
-    connectivity."""
+    strongly connected.
+
+    For adjacency and signless Laplacian tensors this digraph is the
+    co-occurrence graph of the hypergraph (the degree diagonal adds only
+    self-arcs). It is symmetric, so strong connectivity is plain hypergraph
+    connectivity and is tested as such. Other tensors go through Tarjan's
+    algorithm on their arc lists.
+    """
+    if isinstance(t, (AdjacencyTensor, SignlessLaplacianTensor)):
+        return is_connected(t.hypergraph)
     return _tarjan_scc(t._arc_lists()) == 1
 
 
@@ -295,10 +289,7 @@ def power_iteration_rho(
     rho(T) + 1; the loop stops when the bracket is narrower than tol * upper
     and reports the midpoint minus the shift.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    check_solver_controls(tol, max_iter)
     if not weakly_irreducible(t):
         raise ValueError("tensor is not weakly irreducible")
     k = t.order

@@ -1,14 +1,17 @@
 """Independent oracles the tests check library routines against.
 
 These deliberately avoid the code paths under test: parity searches scan
-all 2^n splits, spectral radii come from numpy's dense symmetric solver.
+all 2^n splits, spectral radii come from numpy's dense symmetric solver,
+GF(2) systems go through eager Gauss-Jordan elimination, the adjacency
+action scatters with np.add.at, and strong connectivity is read off the
+co-occurrence arc lists.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from hypergraph_spectra import Hypergraph, SimpleGraph
+from hypergraph_spectra import Hypergraph, ParitySystem, SimpleGraph
 
 
 def brute_odd_bipartite(h: Hypergraph) -> bool:
@@ -37,3 +40,54 @@ def eig_rho_signless(g: SimpleGraph) -> float:
         a[u, v] = a[v, u] = 1.0
     q = a + np.diag(a.sum(axis=1))
     return float(np.max(np.linalg.eigvalsh(q)))
+
+
+def eager_gf2_solve(system: ParitySystem) -> int | None:
+    """Gauss-Jordan over GF(2): every new pivot is cleared from all earlier
+    pivot rows. Free variables are set to 0; None when inconsistent."""
+    n = system.n_vars
+    var_mask = (1 << n) - 1
+    pivots: list[tuple[int, int]] = []  # (pivot column, reduced augmented row)
+    for mask, b in zip(system.rows, system.rhs):
+        row = mask | (b << n)
+        for col, prow in pivots:
+            if (row >> col) & 1:
+                row ^= prow
+        if row & var_mask:
+            col = (row & -row).bit_length() - 1
+            for i, (c, p) in enumerate(pivots):
+                if (p >> col) & 1:
+                    pivots[i] = (c, p ^ row)
+            pivots.append((col, row))
+        elif row >> n:
+            return None
+    x = 0
+    for col, prow in pivots:
+        # A fully reduced pivot row holds its pivot plus free columns only.
+        if prow >> n:
+            x |= 1 << col
+    return x
+
+
+def add_at_apply(h: Hypergraph, x: np.ndarray) -> np.ndarray:
+    """(A x^{k-1}) scattered with np.add.at from the same leave-one-out
+    prefix and suffix products the library forms."""
+    E = np.array(h.edges, dtype=np.intp).reshape(h.m, h.k)
+    X = x[E]
+    left = np.ones_like(X)
+    np.cumprod(X[:, :-1], axis=1, out=left[:, 1:])
+    right = np.ones_like(X)
+    np.cumprod(X[:, :0:-1], axis=1, out=right[:, -2::-1])
+    out = np.zeros(h.n)
+    np.add.at(out, E, left * right)
+    return out
+
+
+def cooccurrence_arcs(h: Hypergraph) -> list[list[int]]:
+    """Successor lists with an arc u -> w whenever u and w share an edge:
+    the digraph of the adjacency tensor's nonzero pattern."""
+    nbr: list[set[int]] = [set() for _ in range(h.n)]
+    for e in h.edges:
+        for u in e:
+            nbr[u].update(w for w in e if w != u)
+    return [sorted(s) for s in nbr]

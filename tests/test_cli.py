@@ -157,6 +157,70 @@ class TestReportCommands:
         capsys.readouterr()
 
 
+class TestHostileControls:
+    """Bad controls and hostile inputs exit 2 at once with one stderr line."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--tol", "nan"],
+            ["--tol", "inf"],
+            ["--tol", "0"],
+            ["--tol", "1"],
+            ["--tol", "-0.5"],
+            ["--max-iter", "0"],
+        ],
+    )
+    def test_rho_rejects_bad_controls(self, tmp_path, capsys, extra):
+        infile = write_hypergraph(tmp_path, s_path(4, 2, 3))
+        assert run_cli(["rho", "--operator", "adjacency", "--in", infile, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["minrho", "--n", "4", "--tol", "nan"],
+            ["limitpoints", "--n-max", "5", "--tol", "inf"],
+            ["converge", "--n-max", "3", "--tol", "nan"],
+        ],
+    )
+    def test_reports_reject_bad_tol(self, capsys, argv):
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["oddbip"], ["rho", "--operator", "adjacency"], ["bounds", "--operator", "signless-laplacian"]],
+    )
+    def test_hostile_header_rejected(self, tmp_path, capsys, argv):
+        path = tmp_path / "hostile.txt"
+        path.write_text("hypergraph 4 1000000000000 1\n0 1 2 3\n")
+        assert run_cli([*argv, "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "limit" in captured.err
+
+    def test_memory_error_maps_to_usage_error(self, tmp_path, capsys, monkeypatch):
+        from hypergraph_spectra import cli
+
+        def exhausted(h):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "odd_bipartition", exhausted)
+        infile = write_hypergraph(tmp_path, s_cycle(4, 2, 4))
+        assert run_cli(["oddbip", "--in", infile]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "memory" in captured.err
+
+
 class TestUsage:
     def test_no_command(self):
         assert run_cli([]) == 2

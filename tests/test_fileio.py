@@ -9,6 +9,7 @@ from hypergraph_spectra import (
     serialize_graph,
     serialize_hypergraph,
 )
+from hypergraph_spectra.fileio import MAX_VERTICES
 
 
 class TestGraphRoundTrip:
@@ -86,3 +87,18 @@ class TestParseErrors:
     def test_graph_magic_mismatch(self):
         with pytest.raises(ParseError):
             parse_graph("hypergraph 2 3 1\n0 1\n")
+
+
+class TestVertexLimit:
+    @pytest.mark.parametrize(
+        "parse, header",
+        [(parse_graph, "graph {n} 0"), (parse_hypergraph, "hypergraph 4 {n} 0")],
+    )
+    def test_limit_is_inclusive(self, parse, header):
+        assert parse(header.format(n=MAX_VERTICES) + "\n").n == MAX_VERTICES
+        with pytest.raises(ParseError, match="line 1: .*limit"):
+            parse(header.format(n=MAX_VERTICES + 1) + "\n")
+
+    def test_hostile_header_refused_before_the_body(self):
+        with pytest.raises(ParseError, match="line 2: .*limit"):
+            parse_hypergraph("# comment\nhypergraph 4 1000000000000 1\n0 1 2 3\n")

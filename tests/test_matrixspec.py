@@ -113,6 +113,13 @@ class TestRho:
         with pytest.raises(RuntimeError):
             rho_adjacency_matrix(path_graph(6), tol=1e-14, max_iter=2)
 
+    @pytest.mark.parametrize("controls", [{"tol": math.nan}, {"tol": math.inf}, {"max_iter": 0}])
+    def test_bad_controls_rejected(self, controls):
+        with pytest.raises(ValueError):
+            rho_adjacency_matrix(path_graph(6), **controls)
+        with pytest.raises(ValueError):
+            rho_signless_laplacian_matrix(path_graph(6), **controls)
+
 
 def poly_value(n: int, x: Fraction) -> Fraction:
     """x^{n+1} - (1 + x + ... + x^{n-1}) in exact arithmetic."""
@@ -168,6 +175,11 @@ class TestBetaRoots:
             beta_n(0)
         with pytest.raises(ValueError):
             beta_n(3, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 1.0])
+    def test_rejects_nonfinite_or_large_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            beta_n(3, tol=tol)
 
 
 class TestAlphaSequence:

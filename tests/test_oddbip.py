@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergraph_spectra import (
     Bipartition,
@@ -20,7 +22,7 @@ from hypergraph_spectra import (
     verify_odd_bipartition,
 )
 
-from helpers import brute_odd_bipartite
+from helpers import brute_odd_bipartite, eager_gf2_solve
 
 
 def satisfies(system: ParitySystem, x: int) -> bool:
@@ -69,6 +71,92 @@ class TestGf2Solve:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             ParitySystem(2, (1,), (1, 0))
+
+
+def seeded_base(rng: random.Random, n: int, m: int, bipartite: bool) -> SimpleGraph:
+    """Connected base graph: a random spanning tree plus random edges. A
+    bipartite base only joins even to odd vertices."""
+    edges = set()
+    for v in range(1, n):
+        u = rng.randrange(1 - v % 2, v, 2) if bipartite else rng.randrange(v)
+        edges.add((u, v))
+    while len(edges) < m:
+        u, v = sorted(rng.sample(range(n), 2))
+        if not bipartite or (v - u) % 2:
+            edges.add((u, v))
+    return SimpleGraph(n, tuple(edges))
+
+
+class TestLazyEchelonMatchesEager:
+    def test_random_systems_bit_identical(self):
+        rng = random.Random(23)
+        outcomes = {"consistent": 0, "inconsistent": 0, "rank-deficient": 0}
+        for _ in range(1500):
+            n = rng.randrange(1, 71)
+            density = rng.choice((0.05, 0.2, 0.5))
+            rows = [
+                sum(1 << v for v in range(n) if rng.random() < density)
+                for _ in range(rng.randrange(0, n + 10))
+            ]
+            for _ in range(rng.randrange(0, 4) if len(rows) >= 2 else 0):
+                a, b = rng.sample(range(len(rows)), 2)
+                rows.append(rows[a] ^ rows[b])
+            if rng.random() < 0.5:  # a planted solution makes it consistent
+                x0 = rng.randrange(1 << n)
+                rhs = [(r & x0).bit_count() % 2 for r in rows]
+            else:
+                rhs = [rng.randrange(2) for _ in rows]
+            sys_ = ParitySystem(n, tuple(rows), tuple(rhs))
+            x = gf2_solve(sys_)
+            assert x == eager_gf2_solve(sys_)
+            if x is None:
+                outcomes["inconsistent"] += 1
+            else:
+                assert satisfies(sys_, x)
+                outcomes["consistent"] += 1
+                # rank < n leaves a free variable: flipping it keeps a solution
+                free = [v for v in range(n) if satisfies(sys_, x ^ (1 << v))]
+                outcomes["rank-deficient"] += bool(free) or len(rows) < n
+        assert min(outcomes.values()) >= 200, outcomes
+
+    @pytest.mark.parametrize("bipartite", [True, False])
+    def test_large_lift_bit_identical(self, bipartite):
+        g = seeded_base(random.Random(5), 1000, 3000, bipartite)
+        h, _ = generalized_power(g, 4, 2)
+        sys_ = parity_system(h)
+        x = gf2_solve(sys_)
+        assert x == eager_gf2_solve(sys_)
+        assert (x is not None) == bipartite
+        if bipartite:
+            assert satisfies(sys_, x)
+
+    def test_huge_variable_count_validates_without_a_huge_mask(self):
+        sys_ = ParitySystem(10**12, (0b101, 0b100), (1, 1))
+        assert sys_.rows == (0b101, 0b100)
+
+    def test_row_beyond_variable_count_rejected(self):
+        with pytest.raises(ValueError):
+            ParitySystem(3, (0b1000,), (1,))
+        with pytest.raises(ValueError):
+            ParitySystem(3, (-1,), (1,))
+
+
+@st.composite
+def even_uniform_hypergraphs(draw):
+    k = draw(st.sampled_from((2, 4, 6)))
+    n = draw(st.integers(k, 9))
+    edge = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
+    edges = draw(st.lists(edge.map(lambda e: tuple(sorted(e))), max_size=8, unique=True))
+    return Hypergraph(k, n, tuple(edges))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(even_uniform_hypergraphs())
+def test_odd_bipartition_agrees_with_exhaustive_search(h):
+    cert = odd_bipartition(h)
+    assert (cert is not None) == brute_odd_bipartite(h)
+    if cert is not None:
+        assert verify_odd_bipartition(h, cert)
 
 
 class TestParitySystem:

@@ -31,8 +31,19 @@ from hypergraph_spectra import (
     txk,
     weakly_irreducible,
 )
+from hypergraph_spectra.tensors import _tarjan_scc
+
+from helpers import add_at_apply, cooccurrence_arcs
 
 DISJOINT_PAIR = Hypergraph(4, 8, ((0, 1, 2, 3), (4, 5, 6, 7)))
+
+
+def random_hypergraph(rng: random.Random, k: int, n: int, m: int) -> Hypergraph:
+    """m distinct random k-sets on n vertices (fewer if there are fewer)."""
+    edges = set()
+    while len(edges) < min(m, math.comb(n, k)):
+        edges.add(tuple(sorted(rng.sample(range(n), k))))
+    return Hypergraph(k, n, tuple(edges))
 
 
 class TestAdjacencyApply:
@@ -145,6 +156,59 @@ class TestDenseTensor:
             DenseTensor([[np.nan, 0.0], [0.0, 0.0]])
 
 
+class TestApplyMatchesAddAtReference:
+    def test_bit_identical_on_random_hypergraphs(self):
+        rng = random.Random(31)
+        nrng = np.random.default_rng(31)
+        for k in (2, 3, 4, 6):
+            for _ in range(10):
+                n = rng.randrange(k, 40)
+                h = random_hypergraph(rng, k, n, rng.randrange(0, 3 * n))
+                x = nrng.uniform(0.0, 2.0, size=n)
+                x[nrng.random(n) < 0.2] = 0.0
+                ref = add_at_apply(h, x)
+                assert np.array_equal(AdjacencyTensor(h).apply(x), ref)
+                deg = np.array([degree(h, v) for v in range(n)], dtype=float)
+                signless = SignlessLaplacianTensor(h).apply(x)
+                assert np.array_equal(signless, ref + deg * x ** (k - 1))
+
+    def test_bit_identical_on_a_lift(self):
+        h, _ = generalized_power(caterpillar([2, 0, 3]), 4, 2)
+        x = np.random.default_rng(4).uniform(0.1, 1.0, size=h.n)
+        assert np.array_equal(AdjacencyTensor(h).apply(x), add_at_apply(h, x))
+
+    def test_edgeless_gives_zeros(self):
+        h = Hypergraph(4, 3)
+        assert np.array_equal(AdjacencyTensor(h).apply(np.ones(3)), np.zeros(3))
+
+
+class TestIrreducibilityMatchesTarjan:
+    def test_random_hypergraphs(self):
+        rng = random.Random(37)
+        verdicts = set()
+        for k in (2, 3, 4):
+            for _ in range(40):
+                n = rng.randrange(k, 16)
+                h = random_hypergraph(rng, k, n, rng.randrange(0, n))
+                expected = _tarjan_scc(cooccurrence_arcs(h)) == 1
+                assert weakly_irreducible(AdjacencyTensor(h)) == expected
+                assert weakly_irreducible(SignlessLaplacianTensor(h)) == expected
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    def test_isolated_vertex(self):
+        h = Hypergraph(4, 5, ((0, 1, 2, 3),))
+        assert _tarjan_scc(cooccurrence_arcs(h)) == 2
+        assert not weakly_irreducible(AdjacencyTensor(h))
+        assert not weakly_irreducible(SignlessLaplacianTensor(h))
+
+    def test_single_vertex_no_edges(self):
+        h = Hypergraph(4, 1)
+        assert _tarjan_scc(cooccurrence_arcs(h)) == 1
+        assert weakly_irreducible(AdjacencyTensor(h))
+        assert weakly_irreducible(SignlessLaplacianTensor(h))
+
+
 class TestWeakIrreducibility:
     def test_connected_hypergraph_yes(self):
         assert weakly_irreducible(AdjacencyTensor(s_cycle(4, 2, 3)))
@@ -252,6 +316,12 @@ class TestPowerIteration:
             power_iteration_rho(t, tol=0.0)
         with pytest.raises(ValueError):
             power_iteration_rho(t, max_iter=0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 1.0, 2.5])
+    def test_nonfinite_or_large_tol_rejected(self, tol):
+        t = AdjacencyTensor(s_cycle(4, 2, 3))
+        with pytest.raises(ValueError, match="tol"):
+            power_iteration_rho(t, tol=tol)
 
 
 class TestRatiosAndSubsolutions:
