@@ -15,7 +15,8 @@ Subcommands::
     verify-nob  blow-up odd-bipartiteness versus base bipartiteness
 
 Exit status: 0 on success, 1 when a reported check fails (or an iteration
-does not converge), 2 on usage or input errors.
+does not converge), 2 on usage or input errors. Every failure prints one
+`error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--in", dest="infile", metavar="FILE", help="input file")
     common.add_argument("--out", dest="outfile", metavar="FILE", help="output file (default stdout)")
     common.add_argument("--format", choices=("csv", "text"), default="text", help="report format")
-    common.add_argument("--big", action="store_true", help="allow the slow n=8 enumeration")
+    common.add_argument("--big", action="store_true", help="allow n=8 (11117 classes, seconds)")
 
     parser = argparse.ArgumentParser(prog="hgspectra", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -178,7 +179,9 @@ def _cmd_subdivide(args) -> int:
 
 
 def _cmd_minrho(args) -> int:
-    rho, graphs = min_rho_search(args.n, operator=args.operator, tol=args.tol, big=args.big)
+    rho, graphs = min_rho_search(
+        args.n, operator=args.operator, tol=args.tol, big=args.big, max_iter=args.max_iter
+    )
     report = ExperimentReport(
         name="minimum spectral radius over connected non-bipartite graphs",
         params={"n": args.n, "operator": args.operator},
@@ -219,7 +222,7 @@ def _cmd_limitpoints(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    return _emit_report(convergence_report(args.n_max, tol=args.tol), args)
+    return _emit_report(convergence_report(args.n_max, tol=args.tol, max_iter=args.max_iter), args)
 
 
 def _cmd_verify_nob(args) -> int:
@@ -257,6 +260,9 @@ def run_cli(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory; the input is too large", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # non-convergence, or a certificate failing its re-check
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

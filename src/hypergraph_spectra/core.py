@@ -154,12 +154,19 @@ def is_connected(h: GraphLike) -> bool:
     return count == h.n
 
 
+# Smallest relative bracket width accepted: about 45 units in the last
+# place of a double. Narrower targets sit in the rounding noise of the
+# Collatz-Wielandt ratios, so an iteration can spin to max_iter on them.
+_MIN_TOL = 1e-14
+
+
 def check_solver_controls(tol: float, max_iter: int = 1) -> None:
-    """Reject an iteration's controls unless tol is finite and in (0, 1)
-    and max_iter is at least 1. A NaN or infinite tol would otherwise make
-    every stopping test fail or pass at once."""
-    if not 0.0 < tol < 1.0:  # also false for NaN
-        raise ValueError(f"tol must be finite and in (0, 1), got {tol!r}")
+    """Reject an iteration's controls unless tol is in [1e-14, 1) and
+    max_iter is at least 1. A NaN or infinite tol would otherwise make
+    every stopping test fail or pass at once, and a tol below what doubles
+    resolve makes it fail until the iteration cap."""
+    if not _MIN_TOL <= tol < 1.0:  # also false for NaN
+        raise ValueError(f"tol must be in [{_MIN_TOL:g}, 1), got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
 

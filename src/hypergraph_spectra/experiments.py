@@ -96,7 +96,11 @@ class ExperimentReport:
 
 
 def min_rho_search(
-    n: int, operator: str = "adjacency", tol: float = 1e-10, big: bool = False
+    n: int,
+    operator: str = "adjacency",
+    tol: float = 1e-10,
+    big: bool = False,
+    max_iter: int = 1_000_000,
 ) -> tuple[float, list[SimpleGraph]]:
     """Minimum spectral radius over connected non-bipartite graphs on n
     vertices, with every minimizer (ties within 10*tol) as a canonical
@@ -109,7 +113,7 @@ def min_rho_search(
     entries: list[tuple[float, SimpleGraph]] = []
     best = math.inf
     for g in enumerate_connected_nonbipartite(n, big=big):
-        rho, _ = rho_fn(g, tol=tol)
+        rho, _ = rho_fn(g, tol=tol, max_iter=max_iter)
         entries.append((rho, g))
         best = min(best, rho)
     argmin = [g for rho, g in entries if rho - best <= 10.0 * tol]
@@ -165,7 +169,9 @@ def _deleted_edge_tree(n: int) -> SimpleGraph:
     return SimpleGraph(g.n, tuple(e for e in g.edges if e != cut))
 
 
-def convergence_report(n_max: int, tol: float = 1e-10) -> ExperimentReport:
+def convergence_report(
+    n_max: int, tol: float = 1e-10, max_iter: int = 1_000_000
+) -> ExperimentReport:
     """Track rho(A(C_{2n+1} + pendant)) against its limit sqrt(2 + sqrt(5)).
 
     Columns: n, rho, gap above the limit, and the bound on the gap from the
@@ -182,8 +188,8 @@ def convergence_report(n_max: int, tol: float = 1e-10) -> ExperimentReport:
     )
     gaps = []
     bounds_ok = True
-    for n, rho in pendant_cycle_rho_sequence(n_max, tol=tol):
-        rho_tree, _ = rho_adjacency_matrix(_deleted_edge_tree(n), tol=tol)
+    for n, rho in pendant_cycle_rho_sequence(n_max, tol=tol, max_iter=max_iter):
+        rho_tree, _ = rho_adjacency_matrix(_deleted_edge_tree(n), tol=tol, max_iter=max_iter)
         bound = rho_tree + 2.0 / (2 * n + 1) - thr
         gap = rho - thr
         gaps.append(gap)

@@ -3,11 +3,14 @@
 These deliberately avoid the code paths under test: parity searches scan
 all 2^n splits, spectral radii come from numpy's dense symmetric solver,
 GF(2) systems go through eager Gauss-Jordan elimination, the adjacency
-action scatters with np.add.at, and strong connectivity is read off the
-co-occurrence arc lists.
+action scatters with np.add.at, strong connectivity is read off the
+co-occurrence arc lists, and connected classes come from a scan of every
+labelled graph.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -91,3 +94,29 @@ def cooccurrence_arcs(h: Hypergraph) -> list[list[int]]:
         for u in e:
             nbr[u].update(w for w in e if w != u)
     return [sorted(s) for s in nbr]
+
+
+def scan_connected_class_codes(n: int) -> tuple[int, ...]:
+    """Canonical codes of the connected graphs on n vertices by scan and
+    filter: every labelled code, kept when connected (bitmask Warshall
+    closure) and when no vertex permutation maps it lower. 2^(n(n-1)/2)
+    codes, so only for small n."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {pair: b for b, pair in enumerate(pairs)}
+    codes = np.arange(1 << len(pairs), dtype=np.int64)
+    reach = [np.full(codes.shape, 1 << u, dtype=np.int64) for u in range(n)]
+    for b, (u, v) in enumerate(pairs):
+        bit = (codes >> b) & 1
+        reach[u] |= bit << v
+        reach[v] |= bit << u
+    for k in range(n):
+        for u in range(n):
+            if u != k:
+                reach[u] |= reach[k] & -((reach[u] >> k) & 1)
+    codes = codes[reach[0] == (1 << n) - 1]
+    for perm in itertools.permutations(range(n)):
+        mapped = np.zeros_like(codes)
+        for b, (u, v) in enumerate(pairs):
+            mapped |= ((codes >> b) & 1) << index[tuple(sorted((perm[u], perm[v])))]
+        codes = codes[codes <= mapped]
+    return tuple(int(c) for c in codes)

@@ -1,4 +1,5 @@
 import csv
+import time
 
 import pytest
 
@@ -6,6 +7,7 @@ from hypergraph_spectra import (
     Hypergraph,
     SimpleGraph,
     cycle_graph,
+    cycle_plus_pendant,
     generalized_power,
     parse_hypergraph,
     run_cli,
@@ -192,6 +194,36 @@ class TestHostileControls:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [["minrho", "--n", "4"], ["converge", "--n-max", "3"]])
+    def test_matrix_nonconvergence_is_one_error_line(self, capsys, argv):
+        assert run_cli([*argv, "--max-iter", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        assert "converge" in captured.err
+
+    def test_rho_tol_below_double_resolution_rejected_at_once(self, tmp_path, capsys):
+        lift, _ = generalized_power(cycle_plus_pendant(12), 4, 2)
+        infile = write_hypergraph(tmp_path, lift)
+        start = time.perf_counter()
+        argv = ["rho", "--operator", "signless-laplacian", "--in", infile, "--tol", "1e-300"]
+        assert run_cli(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "tol" in captured.err
+
+    def test_minrho_tol_below_double_resolution_rejected_at_once(self, capsys):
+        start = time.perf_counter()
+        assert run_cli(["minrho", "--n", "4", "--tol", "1e-17"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "tol" in captured.err
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,7 +1,10 @@
+import itertools
 import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergraph_spectra import (
     SimpleGraph,
@@ -14,6 +17,9 @@ from hypergraph_spectra import (
     is_bipartite,
     is_connected,
 )
+from hypergraph_spectra.enumeration import _connected_class_codes
+
+from helpers import scan_connected_class_codes
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
@@ -96,6 +102,43 @@ class TestEnumerateConnected:
     def test_large_size_needs_opt_in(self):
         with pytest.raises(ValueError):
             enumerate_connected_graphs(8)
+
+
+class TestAugmentationMatchesScan:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_bit_identical_to_scan_and_filter(self, n):
+        assert _connected_class_codes(n) == scan_connected_class_codes(n)
+
+    def test_codes_are_python_ints_in_increasing_order(self):
+        codes = _connected_class_codes(6)
+        assert all(type(c) is int for c in codes)
+        assert list(codes) == sorted(set(codes))
+
+
+@st.composite
+def connected_labelled_graphs(draw):
+    """A random spanning tree plus random extra edges, randomly relabelled."""
+    n = draw(st.integers(1, 7))
+    perm = draw(st.permutations(range(n)))
+    edges = {(perm[v], perm[draw(st.integers(0, v - 1))]) for v in range(1, n)}
+    pairs = list(itertools.combinations(range(n), 2))
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    return SimpleGraph(n, tuple({tuple(sorted(e)) for e in edges}))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(connected_labelled_graphs())
+def test_every_connected_graph_has_its_class_enumerated(g):
+    assert is_connected(g)
+    assert canonical_code(g.n, graph_code(g)) in _connected_class_codes(g.n)
+
+
+class TestEightVertices:
+    def test_class_and_bipartite_counts(self):
+        graphs = enumerate_connected_graphs(8, big=True)
+        assert len(graphs) == 11117  # OEIS A001349
+        assert sum(is_bipartite(g) is not None for g in graphs) == 182  # OEIS A005142
 
 
 class TestEnumerateNonbipartite:

@@ -15,6 +15,7 @@ from hypergraph_spectra import (
     verify_theorem_nob,
 )
 
+from helpers import eig_rho_adjacency, eig_rho_signless
 from test_matrixspec import C5E_RHO_A, PAW_RHO_A, PAW_RHO_Q
 
 
@@ -50,6 +51,24 @@ class TestMinRhoSearch:
             min_rho_search(9)
         with pytest.raises(ValueError):
             min_rho_search(5, operator="laplacian")
+
+
+class TestEightVertices:
+    """Criteria 07 and 02 on all 11117 connected classes of order 8."""
+
+    @pytest.mark.parametrize(
+        "operator, oracle",
+        [("adjacency", eig_rho_adjacency), ("signless-laplacian", eig_rho_signless)],
+    )
+    def test_pendant_heptagon_is_the_unique_minimiser(self, operator, oracle):
+        best, argmin = min_rho_search(8, operator=operator, tol=1e-9, big=True)
+        assert argmin == [canonical_form(cycle_plus_pendant(8))]
+        assert abs(best - oracle(cycle_plus_pendant(8))) <= 1e-8
+
+    def test_blow_up_parity_has_no_mismatch(self):
+        report = verify_theorem_nob(8, big=True)
+        assert report.passed
+        assert report.rows[-2:] == [(8, 4, 11117, 182, 0), (8, 6, 11117, 182, 0)]
 
 
 class TestVerifyNob:

@@ -120,6 +120,12 @@ class TestRho:
         with pytest.raises(ValueError):
             rho_signless_laplacian_matrix(path_graph(6), **controls)
 
+    def test_tol_below_double_resolution_rejected(self):
+        with pytest.raises(ValueError, match="tol"):
+            rho_adjacency_matrix(path_graph(6), tol=1e-17)
+        with pytest.raises(ValueError, match="tol"):
+            rho_signless_laplacian_matrix(path_graph(6), tol=1e-300)
+
 
 def poly_value(n: int, x: Fraction) -> Fraction:
     """x^{n+1} - (1 + x + ... + x^{n-1}) in exact arithmetic."""
@@ -180,6 +186,10 @@ class TestBetaRoots:
     def test_rejects_nonfinite_or_large_tol(self, tol):
         with pytest.raises(ValueError, match="tol"):
             beta_n(3, tol=tol)
+
+    def test_rejects_tol_below_double_resolution(self):
+        with pytest.raises(ValueError, match="tol"):
+            beta_n(3, tol=1e-300)
 
 
 class TestAlphaSequence:

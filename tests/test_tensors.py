@@ -323,6 +323,16 @@ class TestPowerIteration:
         with pytest.raises(ValueError, match="tol"):
             power_iteration_rho(t, tol=tol)
 
+    @pytest.mark.parametrize("tol", [9.9e-15, 1e-17, 1e-300, 5e-324])
+    def test_tol_below_double_resolution_rejected(self, tol):
+        t = AdjacencyTensor(s_cycle(4, 2, 3))
+        with pytest.raises(ValueError, match="tol"):
+            power_iteration_rho(t, tol=tol)
+
+    def test_tol_floor_itself_allowed(self):
+        res = power_iteration_rho(AdjacencyTensor(s_cycle(4, 2, 3)), tol=1e-14)
+        assert res.converged
+
 
 class TestRatiosAndSubsolutions:
     def test_ratios_at_ones_are_row_sums(self):
