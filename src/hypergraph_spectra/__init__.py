@@ -2,9 +2,9 @@
 
 Blow-up constructions (vertices to s-sets, edges to k-sets), parity-based
 odd-bipartiteness certificates, adjacency and signless Laplacian tensor
-spectral radii by bracketed power iteration, the matching matrix-side
-computations, and exhaustive small-graph experiments around the limit point
-sqrt(2 + sqrt(5)).
+spectral radii inside Collatz-Wielandt brackets (Newton-Noda steps with a
+power-step fallback), the matching matrix-side computations, and exhaustive
+small-graph experiments around the limit point sqrt(2 + sqrt(5)).
 """
 
 from .constructions import (

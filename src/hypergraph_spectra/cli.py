@@ -6,7 +6,7 @@ Subcommands::
     spath       write a loose path hypergraph
     scycle      write a loose cycle hypergraph
     oddbip      decide odd-bipartiteness of a hypergraph file
-    rho         spectral radius of a hypergraph tensor (power iteration)
+    rho         spectral radius of a hypergraph tensor (bracketed iteration)
     bounds      row-sum bounds on the spectral radius
     subdivide   subdivide one edge of a graph file
     minrho      minimum spectral radius over connected non-bipartite graphs
@@ -26,6 +26,7 @@ import sys
 from pathlib import Path
 
 from .constructions import generalized_power, s_cycle, s_path, subdivide
+from .core import check_solver_controls
 from .experiments import (
     MATRIX_RHO,
     ExperimentReport,
@@ -253,6 +254,9 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # Every subcommand takes --tol and --max-iter; reject bad ones even
+        # where the subcommand would not use them.
+        check_solver_controls(args.tol, args.max_iter)
         return _COMMANDS[args.command](args)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,13 @@
 """Matrix spectral radii for base graphs, plus the limit-point sequences.
 
-rho(A(G)) and rho(Q(G)) for connected G are computed with the same bracketed
-power iteration contract as the tensor routine (diagonal shift 1, max-norm
-normalization, two-sided Collatz-Wielandt bounds), which keeps the matrix
-and tensor sides directly comparable.
+rho(A(G)) and rho(Q(G)) for connected G are computed with the same contract
+as the tensor routine (diagonal shift 1, max-norm normalization, stopping on
+the two-sided Collatz-Wielandt bracket), which keeps the matrix and tensor
+sides directly comparable. Between two brackets the iterate moves by a Noda
+step, the k = 2 case of the tensor's Newton-Noda step: one shifted inverse
+iteration with the current upper bound as the shift. Above the tensor's
+size cap, or when that solve fails or its solution is not strictly
+positive, it takes a power step on m + I instead.
 
 The second half of the module tracks the classical limit point
 sqrt(2 + sqrt(5)) = tau^{3/2}, tau the golden ratio: beta_n is the positive
@@ -20,6 +24,7 @@ import numpy as np
 
 from .constructions import cycle_plus_pendant
 from .core import SimpleGraph, check_solver_controls, is_connected
+from .tensors import _NEWTON_MAX_DIM, _positive_solve
 
 __all__ = [
     "adjacency_matrix",
@@ -55,18 +60,28 @@ def _bracketed_power_iteration(
     m: np.ndarray, tol: float, max_iter: int
 ) -> tuple[float, np.ndarray]:
     """Spectral radius and max-normalized positive eigenvector of a
-    nonnegative irreducible matrix, via power iteration on m + I."""
+    nonnegative irreducible matrix, bracketed by the ratios of (m + I) x to x.
+
+    After a step that lowered the upper bound, x moves to the solution z of
+    (upper - 1) z - m z = x (a Noda step); otherwise, or when z is not
+    strictly positive, to (m + I) x, the power step."""
     check_solver_controls(tol, max_iter)
     n = m.shape[0]
+    noda = n <= _NEWTON_MAX_DIM
     x = np.ones(n)
+    upper = math.inf
     for _ in range(max_iter):
         y = m @ x + x
         s = y / x
+        previous_upper = upper
         lower = float(s.min())
         upper = float(s.max())
         if upper - lower <= tol * upper:
             return 0.5 * (lower + upper) - 1.0, x
-        x = y / y.max()
+        z = None
+        if noda and upper < previous_upper:
+            z = _positive_solve((upper - 1.0) * np.eye(n) - m, x)
+        x = y / y.max() if z is None else z / z.max()
     raise RuntimeError(f"power iteration did not converge in {max_iter} steps")
 
 

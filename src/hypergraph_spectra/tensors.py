@@ -9,15 +9,26 @@ kept implicit: all spectral work needs only x -> T x^{k-1}, where
 
 An eigenpair satisfies T x^{k-1} = lambda x^{[k-1]} with x^{[k-1]} the
 entrywise power. For nonnegative weakly irreducible tensors the spectral
-radius is the unique eigenvalue with a strictly positive eigenvector, and a
-power iteration on the diagonally shifted tensor converges to it with
-two-sided bounds at every step.
+radius is the unique eigenvalue with a strictly positive eigenvector, and the
+Collatz-Wielandt ratios at any positive vector bracket it from both sides.
+
+The solver evaluates that bracket once per step and stops when it is narrow
+enough. Between two evaluations it takes a Newton-Noda step (Guo, Lin and
+Liu, Numer. Math. 137, 2017) for adjacency and signless Laplacian tensors of
+dimension up to 2048: one dense linear solve with the Jacobian of
+x -> T x^{k-1}, which converges quadratically near the radius. Larger
+tensors, DenseTensor, and any step whose solve fails or whose solution is
+not strictly positive take a step of the shifted power iteration (Ng, Qi and
+Zhou, SIAM J. Matrix Anal. Appl. 2009) instead. The reported bracket is that
+of the final positive vector, however it was found.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,6 +57,11 @@ __all__ = [
 # cross-checks.
 _DENSE_MAX_ORDER = 4
 _DENSE_MAX_DIM = 6
+
+# Largest dimension that takes Newton-Noda steps. The dense n x n solve
+# costs O(n^3) per step against O(m k) for a power step, so above this the
+# power iteration's cheaper steps win even with many more of them.
+_NEWTON_MAX_DIM = 2048
 
 
 class ImplicitTensor:
@@ -106,6 +122,20 @@ class AdjacencyTensor(ImplicitTensor):
         # Each incident edge contributes (k-1)! entries of 1/(k-1)!.
         return self._deg.copy()
 
+    def jacobian(self, x) -> np.ndarray:
+        """Dense Jacobian of x -> A x^{k-1}: entry (u, v) sums, over the
+        edges holding both u and v, the product of x over the other k-2
+        vertices. Symmetric with a zero diagonal."""
+        x = self._check_vector(x)
+        pairs, others = _pair_positions(self.order)
+        E = self._edges
+        # Edges are sorted, so every (first, second) pair lies above the diagonal.
+        weights = np.prod(x[E][:, others], axis=2)
+        flat = E[:, pairs[:, 0]] * self.dim + E[:, pairs[:, 1]]
+        above = np.bincount(flat.ravel(), weights=weights.ravel(), minlength=self.dim**2)
+        above = above.reshape(self.dim, self.dim)
+        return above + above.T
+
 
 class SignlessLaplacianTensor(ImplicitTensor):
     """Degree diagonal plus adjacency tensor of a k-uniform hypergraph."""
@@ -125,6 +155,15 @@ class SignlessLaplacianTensor(ImplicitTensor):
 
     def row_sums(self) -> np.ndarray:
         return 2.0 * self._deg
+
+    def jacobian(self, x) -> np.ndarray:
+        """Dense Jacobian of x -> Q x^{k-1}: the adjacency Jacobian plus
+        (k-1) deg_u x_u^{k-2} on the diagonal."""
+        x = self._check_vector(x)
+        jac = self._adj.jacobian(x)
+        k = self.order
+        jac[np.diag_indices(self.dim)] += (k - 1) * self._deg * x ** (k - 2)
+        return jac
 
 
 class DenseTensor(ImplicitTensor):
@@ -165,6 +204,18 @@ class DenseTensor(ImplicitTensor):
         return [sorted(s) for s in nbr]
 
 
+@lru_cache(maxsize=None)
+def _pair_positions(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (i, j), i < j, within a k-edge, and for each pair the k-2
+    positions left over."""
+    pairs = list(itertools.combinations(range(k), 2))
+    others = [[w for w in range(k) if w not in p] for p in pairs]
+    return (
+        np.array(pairs, dtype=np.intp),
+        np.array(others, dtype=np.intp).reshape(len(pairs), k - 2),
+    )
+
+
 def identity_tensor(order: int, dim: int) -> DenseTensor:
     """Diagonal tensor with t_{i,i,...,i} = 1; satisfies I x^{k-1} = x^{[k-1]}."""
     table = np.zeros((dim,) * order)
@@ -175,7 +226,7 @@ def identity_tensor(order: int, dim: int) -> DenseTensor:
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Outcome of a bracketed power iteration.
+    """Outcome of power_iteration_rho.
 
     rho is the midpoint of the final two-sided bracket [lower, upper];
     residual is the bracket width upper - lower; the eigenvector is positive
@@ -278,22 +329,60 @@ def weakly_irreducible(t: ImplicitTensor) -> bool:
     return _tarjan_scc(t._arc_lists()) == 1
 
 
+def _positive_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Solution w of m w = b when it is finite and strictly positive, else
+    None (also when m is singular)."""
+    try:
+        w = np.linalg.solve(m, b)
+    except np.linalg.LinAlgError:
+        return None
+    if np.all(np.isfinite(w)) and np.all(w > 0):
+        return w
+    return None
+
+
+def _newton_noda_step(t, x: np.ndarray, lam: float) -> np.ndarray | None:
+    """Next iterate from positive x, with lam the current upper bound on rho.
+
+    Solves M w = x^{[k-1]} for the Jacobian M = (k-1) lam diag(x^{k-2}) - J(x)
+    of lam x^{[k-1]} - T x^{k-1}, and returns the Newton step on (x, lambda)
+    under the constraint sum(x) = 1, rescaled to max entry 1. M is a
+    nonsingular M-matrix when lam > rho, so w and the step are positive.
+    None when the solve fails or w is not finite and strictly positive.
+    """
+    k = t.order
+    m = -t.jacobian(x)
+    m[np.diag_indices(t.dim)] += (k - 1) * lam * x ** (k - 2)
+    w = _positive_solve(m, x ** (k - 1))
+    if w is None:
+        return None
+    x = ((k - 2) * x / x.sum() + w / w.sum()) / (k - 1)
+    return x / x.max()
+
+
 def power_iteration_rho(
     t: ImplicitTensor, tol: float = 1e-10, max_iter: int = 1_000_000
 ) -> SpectralResult:
     """Spectral radius of a nonnegative weakly irreducible tensor.
 
-    Iterates y = T x^{k-1} + x^{[k-1]} (diagonal shift 1 keeps the map
-    contractive on the positive cone) from the all-ones vector, renormalizing
-    x to max-norm 1. At each step the ratios y_i / x_i^{k-1} enclose
-    rho(T) + 1; the loop stops when the bracket is narrower than tol * upper
-    and reports the midpoint minus the shift.
+    Starts from the all-ones vector x and, at each step, forms the ratios
+    y_i / x_i^{k-1} of y = T x^{k-1} + x^{[k-1]} (diagonal shift 1), which
+    enclose rho(T) + 1. The loop stops when that bracket is narrower than
+    tol * upper and reports its midpoint minus the shift.
+
+    Otherwise x moves on by a Newton-Noda step when t is an adjacency or
+    signless Laplacian tensor of dimension at most 2048 and the last step
+    lowered the upper bound; else, or when the step's linear solve fails or
+    gives a vector that is not strictly positive, by the power step
+    x = y^{[1/(k-1)]}. Either way x stays positive with max entry 1, so the
+    final bracket is a Collatz-Wielandt bracket however x was found.
     """
     check_solver_controls(tol, max_iter)
     if not weakly_irreducible(t):
         raise ValueError("tensor is not weakly irreducible")
     k = t.order
     sigma = 1.0
+    newton = isinstance(t, (AdjacencyTensor, SignlessLaplacianTensor)) and t.dim <= _NEWTON_MAX_DIM
     x = np.ones(t.dim)
     lower = upper = math.inf
     converged = False
@@ -302,13 +391,20 @@ def power_iteration_rho(
         xk = x ** (k - 1)
         y = t.apply(x) + sigma * xk
         s = y / xk
+        previous_upper = upper
         lower = float(s.min())
         upper = float(s.max())
         if upper - lower <= tol * upper:
             converged = True
             break
-        x = y ** (1.0 / (k - 1))
-        x /= x.max()
+        step = None
+        if newton and upper < previous_upper:
+            step = _newton_noda_step(t, x, upper - sigma)
+        if step is None:
+            x = y ** (1.0 / (k - 1))
+            x /= x.max()
+        else:
+            x = step
     return SpectralResult(
         rho=0.5 * (lower + upper) - sigma,
         eigenvector=x,

@@ -3,14 +3,16 @@
 These deliberately avoid the code paths under test: parity searches scan
 all 2^n splits, spectral radii come from numpy's dense symmetric solver,
 GF(2) systems go through eager Gauss-Jordan elimination, the adjacency
-action scatters with np.add.at, strong connectivity is read off the
-co-occurrence arc lists, and connected classes come from a scan of every
-labelled graph.
+action scatters with np.add.at, Jacobians are summed edge by edge in a loop,
+the power iteration is the plain shifted loop, strong connectivity is read
+off the co-occurrence arc lists, and connected classes come from a scan of
+every labelled graph.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -84,6 +86,39 @@ def add_at_apply(h: Hypergraph, x: np.ndarray) -> np.ndarray:
     out = np.zeros(h.n)
     np.add.at(out, E, left * right)
     return out
+
+
+def jacobian_reference(h: Hypergraph, x: np.ndarray, signless: bool = False) -> np.ndarray:
+    """Jacobian of x -> A x^{k-1} (or Q x^{k-1} when signless) by a loop
+    over edges and ordered vertex pairs: entry (u, v), u != v, adds the
+    product of x over e - {u, v} for every edge e holding both; the signless
+    Laplacian adds (k-1) x_u^{k-2} to entry (u, u) for every edge at u."""
+    jac = np.zeros((h.n, h.n))
+    for e in h.edges:
+        for u in e:
+            if signless:
+                jac[u, u] += (h.k - 1) * x[u] ** (h.k - 2)
+            for v in e:
+                if v != u:
+                    jac[u, v] += math.prod(float(x[w]) for w in e if w not in (u, v))
+    return jac
+
+
+def power_iteration_reference(t, tol: float, max_iter: int) -> tuple[int, np.ndarray, float, float]:
+    """The fixed-shift power iteration alone: (iterations, x, lower, upper)
+    with the bracket of the shifted ratios at the last x."""
+    k = t.order
+    x = np.ones(t.dim)
+    for it in range(1, max_iter + 1):
+        xk = x ** (k - 1)
+        y = t.apply(x) + xk
+        s = y / xk
+        lower, upper = float(s.min()), float(s.max())
+        if upper - lower <= tol * upper:
+            break
+        x = y ** (1.0 / (k - 1))
+        x /= x.max()
+    return it, x, lower, upper
 
 
 def cooccurrence_arcs(h: Hypergraph) -> list[list[int]]:

@@ -195,6 +195,22 @@ class TestHostileControls:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-nob", "--n-max", "3", "--tol", "nan", "--max-iter", "0"],
+            ["verify-nob", "--n-max", "3", "--tol", "inf"],
+            ["limitpoints", "--n-max", "3", "--max-iter", "0"],
+            ["spath", "--k", "4", "--s", "2", "--d", "1", "--tol", "nan"],
+        ],
+    )
+    def test_controls_rejected_where_unused(self, capsys, argv):
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
     @pytest.mark.parametrize("argv", [["minrho", "--n", "4"], ["converge", "--n-max", "3"]])
     def test_matrix_nonconvergence_is_one_error_line(self, capsys, argv):
         assert run_cli([*argv, "--max-iter", "2"]) == 1

@@ -132,6 +132,40 @@ def poly_value(n: int, x: Fraction) -> Fraction:
     return x ** (n + 1) - sum(x**i for i in range(n))
 
 
+class TestNodaSteps:
+    @pytest.mark.parametrize("failure", ["singular", "nonpositive"])
+    @pytest.mark.parametrize(
+        "rho_fn, oracle",
+        [
+            (rho_adjacency_matrix, eig_rho_adjacency),
+            (rho_signless_laplacian_matrix, eig_rho_signless),
+        ],
+    )
+    def test_failed_solve_falls_back_to_power_steps(self, monkeypatch, failure, rho_fn, oracle):
+        g = cycle_plus_pendant(12)
+        calls = []
+
+        def broken(m, b):
+            calls.append(m.shape)
+            if failure == "singular":
+                raise np.linalg.LinAlgError("singular matrix")
+            return -np.ones_like(b)
+
+        monkeypatch.setattr(np.linalg, "solve", broken)
+        rho, vec = rho_fn(g, tol=1e-12)
+        assert calls
+        assert abs(rho - oracle(g)) <= 1e-10
+        assert vec.max() == 1.0 and np.all(vec > 0)
+
+    def test_pendant_cycles_at_tight_tol(self):
+        # The plain power iteration needs between 100 and 1000 steps here
+        # for n = 5, and more than 1000 for n = 20 and 50.
+        for n in (5, 20, 50):
+            g = cycle_plus_pendant(2 * n + 2)
+            rho, _ = rho_adjacency_matrix(g, tol=1e-13, max_iter=100)
+            assert abs(rho - eig_rho_adjacency(g)) <= 1e-12
+
+
 class TestBetaRoots:
     def test_first_root_is_one(self):
         assert beta_n(1) == 1.0

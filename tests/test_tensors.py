@@ -3,12 +3,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergraph_spectra import (
     AdjacencyTensor,
     DenseTensor,
     Hypergraph,
     SignlessLaplacianTensor,
+    SimpleGraph,
     SpectralResult,
     caterpillar,
     check_subsolution,
@@ -31,9 +34,17 @@ from hypergraph_spectra import (
     txk,
     weakly_irreducible,
 )
+from hypergraph_spectra import tensors
 from hypergraph_spectra.tensors import _tarjan_scc
 
-from helpers import add_at_apply, cooccurrence_arcs
+from helpers import (
+    add_at_apply,
+    cooccurrence_arcs,
+    eig_rho_adjacency,
+    eig_rho_signless,
+    jacobian_reference,
+    power_iteration_reference,
+)
 
 DISJOINT_PAIR = Hypergraph(4, 8, ((0, 1, 2, 3), (4, 5, 6, 7)))
 
@@ -427,3 +438,124 @@ class TestHalfEdgeConstancy:
         fake = SpectralResult(1.0, np.ones(3), 1, 0.0, True, 1.0, 1.0)
         with pytest.raises(ValueError):
             half_edge_constancy(fake, bmap)
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
+    def test_matches_loop_reference_on_random_hypergraphs(self, k, cls):
+        rng = random.Random(40 + k)
+        for _ in range(10):
+            n = rng.randint(k, k + 6)
+            h = random_hypergraph(rng, k, n, rng.randint(1, 12))
+            x = np.array([rng.uniform(0.1, 2.0) for _ in range(n)])
+            expected = jacobian_reference(h, x, signless=cls is SignlessLaplacianTensor)
+            np.testing.assert_allclose(cls(h).jacobian(x), expected, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
+    def test_matches_loop_reference_on_a_loose_path(self, cls):
+        h = s_path(20, 1, 5)
+        x = np.random.default_rng(5).uniform(0.5, 1.5, h.n)
+        expected = jacobian_reference(h, x, signless=cls is SignlessLaplacianTensor)
+        np.testing.assert_allclose(cls(h).jacobian(x), expected, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
+    def test_symmetric_and_euler_identity(self, k, cls):
+        # x -> T x^{k-1} is homogeneous of degree k-1, so J(x) x = (k-1) T x^{k-1}.
+        rng = random.Random(k)
+        h = random_hypergraph(rng, k, k + 5, 9)
+        t = cls(h)
+        x = np.array([rng.uniform(0.1, 2.0) for _ in range(h.n)])
+        jac = t.jacobian(x)
+        assert np.array_equal(jac, jac.T)
+        np.testing.assert_allclose(jac @ x, (k - 1) * t.apply(x), rtol=1e-13, atol=0)
+
+
+def pendant_lift(n: int) -> tuple[Hypergraph, SimpleGraph]:
+    g = cycle_plus_pendant(2 * n + 2)
+    return generalized_power(g, 4, 2)[0], g
+
+
+class TestNewtonNoda:
+    def test_long_loose_path_converges(self):
+        # The plain power iteration has not converged here after 20,000 steps.
+        res = power_iteration_rho(AdjacencyTensor(s_path(40, 1, 30)), tol=1e-10)
+        assert res.converged and res.iterations <= 30
+        assert abs(res.rho - (2 * math.cos(math.pi / 32)) ** (1 / 20)) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "cls, oracle, cap",
+        [(AdjacencyTensor, eig_rho_adjacency, 60), (SignlessLaplacianTensor, eig_rho_signless, 100)],
+    )
+    def test_pendant_cycle_lifts_at_tight_tol(self, cls, oracle, cap):
+        # The power iteration takes 423 to 2843 steps on the adjacency side.
+        # The signless Perron vector decays by about 0.54 per step along the
+        # cycle, which costs the signless side about n steps.
+        for n in range(5, 51):
+            h, g = pendant_lift(n)
+            res = power_iteration_rho(cls(h), tol=1e-13)
+            assert res.converged and res.iterations <= cap
+            assert abs(res.rho - oracle(g)) <= 1e-12
+            assert res.lower <= res.rho <= res.upper
+
+    @pytest.mark.parametrize("failure", ["singular", "nonpositive"])
+    @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
+    def test_failed_solve_falls_back_to_power_steps(self, monkeypatch, failure, cls):
+        h, _ = pendant_lift(5)
+        t = cls(h)
+        calls = []
+
+        def broken(m, b):
+            calls.append(m.shape)
+            if failure == "singular":
+                raise np.linalg.LinAlgError("singular matrix")
+            return -np.ones_like(b)
+
+        monkeypatch.setattr(np.linalg, "solve", broken)
+        res = power_iteration_rho(t, tol=1e-12)
+        iterations, x, lower, upper = power_iteration_reference(t, 1e-12, 1_000_000)
+        assert calls and res.converged
+        # Every attempted solve fails, so every iterate is the power step's.
+        assert res.iterations == iterations
+        assert np.array_equal(res.eigenvector, x)
+        assert (res.lower, res.upper) == (lower - 1.0, upper - 1.0)
+
+    @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
+    def test_power_steps_above_the_size_cap(self, monkeypatch, cls):
+        h, _ = pendant_lift(5)
+        t = cls(h)
+        monkeypatch.setattr(tensors, "_NEWTON_MAX_DIM", t.dim - 1)
+        res = power_iteration_rho(t, tol=1e-12)
+        iterations, x, lower, upper = power_iteration_reference(t, 1e-12, 1_000_000)
+        assert res.iterations == iterations > 100
+        assert np.array_equal(res.eigenvector, x)
+        assert (res.lower, res.upper) == (lower - 1.0, upper - 1.0)
+
+    def test_dense_tensor_keeps_power_steps(self):
+        a = np.array([1.0, 2.0, 0.5, 3.0])
+        t = DenseTensor(np.einsum("i,j,k->ijk", a, a, a) + 0.1)
+        res = power_iteration_rho(t, tol=1e-12)
+        iterations, x, _, _ = power_iteration_reference(t, 1e-12, 1_000_000)
+        assert res.iterations == iterations
+        assert np.array_equal(res.eigenvector, x)
+
+
+@st.composite
+def connected_bases(draw):
+    """A random spanning tree plus random extra edges on 2..8 vertices."""
+    n = draw(st.integers(2, 8))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    return SimpleGraph(n, tuple(edges))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(connected_bases(), st.sampled_from((4, 6)))
+def test_blow_up_radii_agree_with_eigvalsh(g, k):
+    h, _ = generalized_power(g, k, k // 2)
+    for cls, oracle in ((AdjacencyTensor, eig_rho_adjacency), (SignlessLaplacianTensor, eig_rho_signless)):
+        res = power_iteration_rho(cls(h), tol=1e-12)
+        assert res.converged
+        assert abs(res.rho - oracle(g)) <= 1e-9
