@@ -2,8 +2,8 @@
 
 Blow-up constructions (vertices to s-sets, edges to k-sets), parity-based
 odd-bipartiteness certificates, adjacency and signless Laplacian tensor
-spectral radii inside Collatz-Wielandt brackets (Newton-Noda steps with a
-power-step fallback), the matching matrix-side computations, and exhaustive
+spectral radii inside Collatz-Wielandt brackets (power steps, then
+Newton-Noda steps once they cost less), the matching matrix-side computations, and exhaustive
 small-graph experiments around the limit point sqrt(2 + sqrt(5)).
 """
 

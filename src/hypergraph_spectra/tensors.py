@@ -13,14 +13,18 @@ radius is the unique eigenvalue with a strictly positive eigenvector, and the
 Collatz-Wielandt ratios at any positive vector bracket it from both sides.
 
 The solver evaluates that bracket once per step and stops when it is narrow
-enough. Between two evaluations it takes a Newton-Noda step (Guo, Lin and
-Liu, Numer. Math. 137, 2017) for adjacency and signless Laplacian tensors of
-dimension up to 2048: one dense linear solve with the Jacobian of
-x -> T x^{k-1}, which converges quadratically near the radius. Larger
-tensors, DenseTensor, and any step whose solve fails or whose solution is
-not strictly positive take a step of the shifted power iteration (Ng, Qi and
-Zhou, SIAM J. Matrix Anal. Appl. 2009) instead. The reported bracket is that
-of the final positive vector, however it was found.
+enough. Between two evaluations it takes a step of the shifted power
+iteration (Ng, Qi and Zhou, SIAM J. Matrix Anal. Appl. 2009), or, for
+adjacency and signless Laplacian tensors, a Newton-Noda step (after Guo,
+Lin and Liu, Numer. Math. 137, 2017): one dense linear solve with the
+Jacobian of x -> T x^{k-1}, which converges quadratically near the radius
+and, up to rounding, never raises the upper bound. Newton-Noda steps start once the
+contraction of the bracket over the last power step says that finishing on
+power steps would cost more than about ten of them; so inputs with a clear
+spectral gap, and all inputs above dimension 2048, stay on power steps. A
+step whose solve fails or whose solution is not strictly positive is a
+power step too. The reported bracket is that of the final positive vector,
+however it was found.
 """
 
 from __future__ import annotations
@@ -58,10 +62,26 @@ __all__ = [
 _DENSE_MAX_ORDER = 4
 _DENSE_MAX_DIM = 6
 
-# Largest dimension that takes Newton-Noda steps. The dense n x n solve
-# costs O(n^3) per step against O(m k) for a power step, so above this the
-# power iteration's cheaper steps win even with many more of them.
+# Largest dimension that takes Newton-Noda steps. A step holds about four
+# dense n x n float arrays, 128 MB at this size.
 _NEWTON_MAX_DIM = 2048
+
+# Newton-Noda steps that finish a solve from where the power iteration
+# hands over. From the all-ones vector, 7 to 13 were measured on
+# pendant-cycle lifts, loose paths and random hypergraphs with k = 3..40,
+# and about 4.5 on the connected graphs on 7 vertices (k = 2, where the step
+# is Noda's).
+_NEWTON_STEPS = 10
+_NODA_STEPS = 4
+
+# Step costs in edge slots of apply (about 20 ns each): a power step costs
+# m * k plus a fixed 1500, a Newton-Noda step n^2 for the Jacobian plus
+# n^3 / 700 for the solve plus a fixed 3000. Fitted for n = 7..2048 on a
+# 2-vCPU x86_64 host (Python 3.11, numpy 2.4, OpenBLAS); each estimate is
+# within 1.5x of the measured time.
+_POWER_STEP_SLOTS = 1500
+_NEWTON_STEP_SLOTS = 3000
+_SOLVE_SLOTS_PER_CUBE = 1 / 700
 
 
 class ImplicitTensor:
@@ -329,35 +349,84 @@ def weakly_irreducible(t: ImplicitTensor) -> bool:
     return _tarjan_scc(t._arc_lists()) == 1
 
 
-def _positive_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Solution w of m w = b when it is finite and strictly positive, else
-    None (also when m is singular)."""
+def _newton_pays(k: int, n: int, slots: int, power_steps: int, contraction: float, reduction: float) -> bool:
+    """True once the power steps taken, or half the estimate of those still
+    needed, cost more than the Newton-Noda steps that would finish, for an
+    order-k, dimension-n operator whose apply reads `slots` stored entries.
+
+    The estimate assumes that the bracket keeps narrowing by the factor
+    contraction of the last power step until it has narrowed by the factor
+    reduction. Early steps can run slower or faster than that, so the
+    estimate is halved, and the count of steps taken caps the loss when it
+    runs short: the power steps then cost at most as much as the
+    Newton-Noda steps that follow them.
+    """
+    steps_left = math.log(reduction) / math.log(contraction) if contraction < 1 else math.inf
+    power_cost = max(power_steps, steps_left / 2) * (slots + _POWER_STEP_SLOTS)
+    steps = _NODA_STEPS if k == 2 else _NEWTON_STEPS
+    newton_cost = steps * (n * n + n**3 * _SOLVE_SLOTS_PER_CUBE + _NEWTON_STEP_SLOTS)
+    return power_cost > newton_cost
+
+
+def _newton_noda_step(jac: np.ndarray, k: int, x: np.ndarray, lam: float) -> np.ndarray | None:
+    """Next iterate from positive x, with jac the Jacobian of x -> T x^{k-1}
+    at x and lam the current upper bound on rho.
+
+    Solves M w = x^{[k-1]} for M = (k-1) lam diag(x^{k-2}) - jac, the
+    Jacobian of lam x^{[k-1]} - T x^{k-1}, and returns the weighted
+    geometric mean x^{(k-2)/(k-1)} w^{1/(k-1)}, rescaled to max entry 1. Its
+    first-order part is the Newton step on (x, lambda). M is a nonsingular
+    M-matrix when lam > rho, so w > 0; then, by the AM-GM inequality on each
+    edge term, every Collatz-Wielandt ratio of the result lies below lam.
+    For k = 2 the result is w, Noda's shifted inverse iteration. None when
+    the solve fails or the result is not finite and strictly positive.
+    """
+    m = -jac
+    m[np.diag_indices(len(x))] += (k - 1) * lam * x ** (k - 2)
     try:
-        w = np.linalg.solve(m, b)
+        w = np.linalg.solve(m, x ** (k - 1))
     except np.linalg.LinAlgError:
         return None
-    if np.all(np.isfinite(w)) and np.all(w > 0):
-        return w
-    return None
-
-
-def _newton_noda_step(t, x: np.ndarray, lam: float) -> np.ndarray | None:
-    """Next iterate from positive x, with lam the current upper bound on rho.
-
-    Solves M w = x^{[k-1]} for the Jacobian M = (k-1) lam diag(x^{k-2}) - J(x)
-    of lam x^{[k-1]} - T x^{k-1}, and returns the Newton step on (x, lambda)
-    under the constraint sum(x) = 1, rescaled to max entry 1. M is a
-    nonsingular M-matrix when lam > rho, so w and the step are positive.
-    None when the solve fails or w is not finite and strictly positive.
-    """
-    k = t.order
-    m = -t.jacobian(x)
-    m[np.diag_indices(t.dim)] += (k - 1) * lam * x ** (k - 2)
-    w = _positive_solve(m, x ** (k - 1))
-    if w is None:
+    if not np.all(w > 0):
         return None
-    x = ((k - 2) * x / x.sum() + w / w.sum()) / (k - 1)
+    x = x ** ((k - 2) / (k - 1)) * w ** (1.0 / (k - 1))
+    if not (np.all(np.isfinite(x)) and np.all(x > 0)):
+        return None
     return x / x.max()
+
+
+def _bracketed_iteration(apply, jacobian, k: int, n: int, slots: int, tol: float, max_iter: int):
+    """The loop behind power_iteration_rho and the matrix radii.
+
+    apply(x) is T x^{k-1} for an order-k, dimension-n operator whose apply
+    reads `slots` stored entries, and jacobian(x) its Jacobian, or None for
+    an operator without one. Returns (x, iterations, lower, upper,
+    converged) with the bracket of the ratios shifted by 1.
+    """
+    newton_ready = jacobian is not None and n <= _NEWTON_MAX_DIM
+    newton = False
+    x = np.ones(n)
+    lower = upper = width = math.inf
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        xk = x ** (k - 1)
+        y = apply(x) + xk
+        s = y / xk
+        lower = float(s.min())
+        upper = float(s.max())
+        if upper - lower <= tol * upper:
+            return x, iterations, lower, upper, True
+        if newton_ready and not newton and width < math.inf:
+            reduction = tol * upper / (upper - lower)
+            newton = _newton_pays(k, n, slots, iterations - 1, (upper - lower) / width, reduction)
+        width = upper - lower
+        step = _newton_noda_step(jacobian(x), k, x, upper - 1.0) if newton else None
+        if step is None:
+            x = y ** (1.0 / (k - 1))
+            x /= x.max()
+        else:
+            x = step
+    return x, iterations, lower, upper, False
 
 
 def power_iteration_rho(
@@ -370,49 +439,34 @@ def power_iteration_rho(
     enclose rho(T) + 1. The loop stops when that bracket is narrower than
     tol * upper and reports its midpoint minus the shift.
 
-    Otherwise x moves on by a Newton-Noda step when t is an adjacency or
-    signless Laplacian tensor of dimension at most 2048 and the last step
-    lowered the upper bound; else, or when the step's linear solve fails or
-    gives a vector that is not strictly positive, by the power step
-    x = y^{[1/(k-1)]}. Either way x stays positive with max entry 1, so the
-    final bracket is a Collatz-Wielandt bracket however x was found.
+    Otherwise x moves on by the power step x = y^{[1/(k-1)]}, rescaled to
+    max entry 1, until the bracket's contraction over the last power step
+    says that finishing that way would cost more than about ten
+    Newton-Noda steps; from then on, by Newton-Noda steps. Only adjacency
+    and signless Laplacian tensors of dimension at most 2048 take them, and
+    a Newton-Noda step whose linear solve fails or whose result is not
+    strictly positive is replaced by the power step. Either way x stays
+    positive with max entry 1, so the final bracket is a Collatz-Wielandt
+    bracket however x was found.
     """
     check_solver_controls(tol, max_iter)
     if not weakly_irreducible(t):
         raise ValueError("tensor is not weakly irreducible")
-    k = t.order
-    sigma = 1.0
-    newton = isinstance(t, (AdjacencyTensor, SignlessLaplacianTensor)) and t.dim <= _NEWTON_MAX_DIM
-    x = np.ones(t.dim)
-    lower = upper = math.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        xk = x ** (k - 1)
-        y = t.apply(x) + sigma * xk
-        s = y / xk
-        previous_upper = upper
-        lower = float(s.min())
-        upper = float(s.max())
-        if upper - lower <= tol * upper:
-            converged = True
-            break
-        step = None
-        if newton and upper < previous_upper:
-            step = _newton_noda_step(t, x, upper - sigma)
-        if step is None:
-            x = y ** (1.0 / (k - 1))
-            x /= x.max()
-        else:
-            x = step
+    if isinstance(t, (AdjacencyTensor, SignlessLaplacianTensor)):
+        jacobian, slots = t.jacobian, t.hypergraph.m * t.order
+    else:
+        jacobian, slots = None, 0
+    x, iterations, lower, upper, converged = _bracketed_iteration(
+        t.apply, jacobian, t.order, t.dim, slots, tol, max_iter
+    )
     return SpectralResult(
-        rho=0.5 * (lower + upper) - sigma,
+        rho=0.5 * (lower + upper) - 1.0,
         eigenvector=x,
         iterations=iterations,
         residual=upper - lower,
         converged=converged,
-        lower=lower - sigma,
-        upper=upper - sigma,
+        lower=lower - 1.0,
+        upper=upper - 1.0,
     )
 
 

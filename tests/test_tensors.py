@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypergraph_spectra import (
     SignlessLaplacianTensor,
     SimpleGraph,
     SpectralResult,
+    adjacency_matrix,
     caterpillar,
     check_subsolution,
     cycle_graph,
@@ -31,6 +33,7 @@ from hypergraph_spectra import (
     s_cycle,
     s_path,
     s_ratios,
+    signless_laplacian_matrix,
     txk,
     weakly_irreducible,
 )
@@ -477,27 +480,88 @@ def pendant_lift(n: int) -> tuple[Hypergraph, SimpleGraph]:
     return generalized_power(g, 4, 2)[0], g
 
 
+def clear_gap_lift(base_n: int, seed: int) -> Hypergraph:
+    """k = 4 lift of a random connected base with 4 * base_n edges and one
+    vertex of degree 40, whose spectral gap is wide: the power iteration
+    needs under 100 steps."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, base_n)}
+    edges |= {(0, v) for v in range(1, 41)}
+    while len(edges) < 4 * base_n:
+        u, v = sorted(rng.sample(range(base_n), 2))
+        edges.add((u, v))
+    return generalized_power(SimpleGraph(base_n, tuple(edges)), 4, 2)[0]
+
+
 class TestNewtonNoda:
     def test_long_loose_path_converges(self):
-        # The plain power iteration has not converged here after 20,000 steps.
+        # The plain power iteration needs 32,576 steps here; Newton-Noda
+        # steps take over after about 2,100 of them.
         res = power_iteration_rho(AdjacencyTensor(s_path(40, 1, 30)), tol=1e-10)
-        assert res.converged and res.iterations <= 30
+        assert res.converged and res.iterations < 5000
         assert abs(res.rho - (2 * math.cos(math.pi / 32)) ** (1 / 20)) <= 1e-8
 
     @pytest.mark.parametrize(
-        "cls, oracle, cap",
-        [(AdjacencyTensor, eig_rho_adjacency, 60), (SignlessLaplacianTensor, eig_rho_signless, 100)],
+        "cls, oracle", [(AdjacencyTensor, eig_rho_adjacency), (SignlessLaplacianTensor, eig_rho_signless)]
     )
-    def test_pendant_cycle_lifts_at_tight_tol(self, cls, oracle, cap):
+    def test_pendant_cycle_lifts_at_tight_tol(self, cls, oracle):
         # The power iteration takes 423 to 2843 steps on the adjacency side.
-        # The signless Perron vector decays by about 0.54 per step along the
-        # cycle, which costs the signless side about n steps.
         for n in range(5, 51):
             h, g = pendant_lift(n)
             res = power_iteration_rho(cls(h), tol=1e-13)
-            assert res.converged and res.iterations <= cap
+            assert res.converged and res.iterations <= 60
             assert abs(res.rho - oracle(g)) <= 1e-12
             assert res.lower <= res.rho <= res.upper
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
+    def test_step_lowers_every_ratio(self, cls, k):
+        rng = random.Random(k)
+        nrng = np.random.default_rng(k)
+        for _ in range(10):
+            h = random_hypergraph(rng, k, rng.randint(k + 1, 12), rng.randint(1, 12))
+            t = cls(h)
+            x = nrng.uniform(0.05, 1.0, t.dim)
+            upper = float(s_ratios(t, x).max())
+            step = tensors._newton_noda_step(t.jacobian(x), k, x, upper)
+            assert step is not None and step.max() == 1.0
+            assert s_ratios(t, step).max() < upper
+
+    @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
+    def test_steps_from_ones_lower_the_upper_bound(self, cls):
+        # Up to rounding. The arithmetic mean (k-2)/(k-1) x + w/(k-1), the
+        # plain Newton step, raises the upper bound here by far more.
+        t = cls(pendant_lift(50)[0])
+        x = np.ones(t.dim)
+        upper = math.inf
+        for _ in range(15):
+            s = s_ratios(t, x)
+            if s.max() - s.min() <= 1e-12 * s.max():
+                break
+            assert s.max() < upper * (1 + 1e-14)
+            upper = float(s.max())
+            x = tensors._newton_noda_step(t.jacobian(x), t.order, x, upper)
+        else:
+            pytest.fail("no convergence in 15 Newton-Noda steps")
+
+    @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
+    def test_clear_gap_input_keeps_power_steps(self, monkeypatch, cls):
+        t = cls(clear_gap_lift(256, 7))
+        monkeypatch.setattr(tensors, "_newton_noda_step", None)  # any call would fail
+        res = power_iteration_rho(t, tol=1e-10)
+        iterations, x, lower, upper = power_iteration_reference(t, 1e-10, 1_000_000)
+        assert res.iterations == iterations < 100
+        assert np.array_equal(res.eigenvector, x)
+        assert (res.lower, res.upper) == (lower - 1.0, upper - 1.0)
+
+    def test_switch_rule(self):
+        # Newton-Noda steps on a 1000-vertex operator with 4000 slots cost
+        # as much as about 4,400 power steps.
+        assert not tensors._newton_pays(4, 1000, 4000, 10, 0.8, 1e-9)
+        assert tensors._newton_pays(4, 1000, 4000, 10, 1 - 1e-4, 1e-9)
+        assert tensors._newton_pays(4, 1000, 4000, 10, 1.0, 1e-9)
+        assert not tensors._newton_pays(4, 1000, 4000, 4000, 0.8, 1e-9)
+        assert tensors._newton_pays(4, 1000, 4000, 5000, 0.8, 1e-9)
 
     @pytest.mark.parametrize("failure", ["singular", "nonpositive"])
     @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
@@ -531,6 +595,21 @@ class TestNewtonNoda:
         assert res.iterations == iterations > 100
         assert np.array_equal(res.eigenvector, x)
         assert (res.lower, res.upper) == (lower - 1.0, upper - 1.0)
+
+    @pytest.mark.parametrize(
+        "rho_fn, build",
+        [(rho_adjacency_matrix, adjacency_matrix), (rho_signless_laplacian_matrix, signless_laplacian_matrix)],
+    )
+    def test_matrix_power_steps_above_the_size_cap(self, monkeypatch, rho_fn, build):
+        g = cycle_plus_pendant(42)
+        m = build(g)
+        monkeypatch.setattr(tensors, "_NEWTON_MAX_DIM", g.n - 1)
+        rho, vec = rho_fn(g, tol=1e-12)
+        matrix = SimpleNamespace(order=2, dim=g.n, apply=lambda x: m @ x)
+        iterations, x, lower, upper = power_iteration_reference(matrix, 1e-12, 1_000_000)
+        assert iterations > 100
+        assert np.array_equal(vec, x)
+        assert rho == 0.5 * (lower + upper) - 1.0
 
     def test_dense_tensor_keeps_power_steps(self):
         a = np.array([1.0, 2.0, 0.5, 3.0])
