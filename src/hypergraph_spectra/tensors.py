@@ -18,12 +18,12 @@ iteration (Ng, Qi and Zhou, SIAM J. Matrix Anal. Appl. 2009), or, for
 adjacency and signless Laplacian tensors, a Newton-Noda step (after Guo,
 Lin and Liu, Numer. Math. 137, 2017): one dense linear solve with the
 Jacobian of x -> T x^{k-1}, which converges quadratically near the radius
-and, up to rounding, never raises the upper bound. Newton-Noda steps start once the
-contraction of the bracket over the last power step says that finishing on
-power steps would cost more than about ten of them; so inputs with a clear
-spectral gap, and all inputs above dimension 2048, stay on power steps. A
-step whose solve fails or whose solution is not strictly positive is a
-power step too. The reported bracket is that of the final positive vector,
+and, up to rounding, never raises the upper bound. Newton-Noda steps start
+once the power steps taken, or those still needed by the bracket's
+contraction, would cost more than the about ten Newton-Noda steps (four for
+k = 2) that finish; so inputs with a clear spectral gap, and all inputs
+above dimension 2048, stay on power steps. A step whose solve fails or
+whose solution is not strictly positive is a power step too. The reported bracket is that of the final positive vector,
 however it was found.
 """
 
@@ -440,9 +440,10 @@ def power_iteration_rho(
     tol * upper and reports its midpoint minus the shift.
 
     Otherwise x moves on by the power step x = y^{[1/(k-1)]}, rescaled to
-    max entry 1, until the bracket's contraction over the last power step
-    says that finishing that way would cost more than about ten
-    Newton-Noda steps; from then on, by Newton-Noda steps. Only adjacency
+    max entry 1, until the power steps taken, or those the bracket's
+    contraction over the last one says are still needed, would cost more
+    than the Newton-Noda steps that finish (about ten, four for k = 2);
+    from then on, by Newton-Noda steps. Only adjacency
     and signless Laplacian tensors of dimension at most 2048 take them, and
     a Newton-Noda step whose linear solve fails or whose result is not
     strictly positive is replaced by the power step. Either way x stays
