@@ -66,17 +66,14 @@ from .oddbip import (
 from .cli import main, run_cli
 from .tensors import (
     AdjacencyTensor,
-    DenseTensor,
     ImplicitTensor,
     SignlessLaplacianTensor,
     SpectralResult,
     check_subsolution,
     half_edge_constancy,
-    identity_tensor,
     lift_vector,
     power_iteration_rho,
     rho_bounds,
-    row_sums,
     s_ratios,
     txk,
     weakly_irreducible,

@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 _BIG_N = 8
-_CHUNK_BITS = 22
 # Words of scratch an augmentation step reduces at once: 2^18 int32 words
 # (1 MB) stay in cache, where one (sets, permutations) array would not.
 _BLOCK_WORDS = 1 << 18
@@ -81,6 +80,8 @@ def canonical_code(n: int, code: int) -> int:
     if not 1 <= n <= _BIG_N:
         raise ValueError(f"n out of supported range: need 1 <= n <= {_BIG_N}")
     dst = _perm_bit_tables(n)
+    if not 0 <= code < (1 << dst.shape[1]):
+        raise ValueError("code out of range")
     mapped = np.zeros(dst.shape[0], dtype=np.int64)
     for b in range(dst.shape[1]):
         if (code >> b) & 1:
@@ -91,22 +92,6 @@ def canonical_code(n: int, code: int) -> int:
 def canonical_form(g: SimpleGraph) -> SimpleGraph:
     """The canonical representative of g's isomorphism class."""
     return graph_from_code(g.n, canonical_code(g.n, graph_code(g)))
-
-
-def _connected_mask(codes: np.ndarray, n: int) -> np.ndarray:
-    """Boolean mask: which codes are connected graphs. Reachability rows are
-    n-bit masks closed with Warshall's algorithm."""
-    rows = [np.full(codes.shape, 1 << u, dtype=np.int64) for u in range(n)]
-    for b, (u, v) in enumerate(_pairs(n)):
-        bit = (codes >> b) & 1
-        rows[u] |= bit << v
-        rows[v] |= bit << u
-    for k in range(n):
-        rk = rows[k]
-        for u in range(n):
-            if u != k:
-                rows[u] |= rk & -((rows[u] >> k) & 1)
-    return rows[0] == (1 << n) - 1
 
 
 @lru_cache(maxsize=None)
@@ -162,28 +147,11 @@ def enumerate_connected_graphs(n: int, big: bool = False) -> list[SimpleGraph]:
     return [graph_from_code(n, c) for c in _connected_class_codes(n)]
 
 
-def enumerate_connected_nonbipartite(
-    n: int, dedupe: bool = True, big: bool = False
-) -> Iterator[SimpleGraph]:
-    """Connected non-bipartite graphs on n vertices.
-
-    With dedupe=True (the default) one canonical representative per
-    isomorphism class is yielded; with dedupe=False every labeled graph is,
-    which is exponential in n and only sensible for very small n.
-    """
+def enumerate_connected_nonbipartite(n: int, big: bool = False) -> Iterator[SimpleGraph]:
+    """One canonical representative per isomorphism class of connected
+    non-bipartite graphs on n vertices, in increasing code order."""
     _check_range(n, big, 3)
-    if dedupe:
-        for code in _connected_class_codes(n):
-            g = graph_from_code(n, code)
-            if is_bipartite(g) is None:
-                yield g
-    else:
-        nbits = n * (n - 1) // 2
-        total = 1 << nbits
-        chunk = 1 << min(nbits, _CHUNK_BITS)
-        for start in range(0, total, chunk):
-            codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            for code in codes[_connected_mask(codes, n)]:
-                g = graph_from_code(n, int(code))
-                if is_bipartite(g) is None:
-                    yield g
+    for code in _connected_class_codes(n):
+        g = graph_from_code(n, code)
+        if is_bipartite(g) is None:
+            yield g

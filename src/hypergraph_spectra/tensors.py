@@ -14,16 +14,16 @@ Collatz-Wielandt ratios at any positive vector bracket it from both sides.
 
 The solver evaluates that bracket once per step and stops when it is narrow
 enough. Between two evaluations it takes a step of the shifted power
-iteration (Ng, Qi and Zhou, SIAM J. Matrix Anal. Appl. 2009), or, for
-adjacency and signless Laplacian tensors, a Newton-Noda step (after Guo,
-Lin and Liu, Numer. Math. 137, 2017): one dense linear solve with the
-Jacobian of x -> T x^{k-1}, which converges quadratically near the radius
-and, up to rounding, never raises the upper bound. Newton-Noda steps start
-once the power steps taken, or those still needed by the bracket's
-contraction, would cost more than the about ten Newton-Noda steps (four for
-k = 2) that finish; so inputs with a clear spectral gap, and all inputs
-above dimension 2048, stay on power steps. A step whose solve fails or
-whose solution is not strictly positive is a power step too. The reported bracket is that of the final positive vector,
+iteration (Ng, Qi and Zhou, SIAM J. Matrix Anal. Appl. 2009) or a
+Newton-Noda step (after Guo, Lin and Liu, Numer. Math. 137, 2017): one
+dense linear solve with the Jacobian of x -> T x^{k-1}, which converges
+quadratically near the radius and, up to rounding, never raises the upper
+bound. Newton-Noda steps start once the power steps taken, or those still
+needed by the bracket's contraction, would cost more than the about ten
+Newton-Noda steps (four for k = 2) that finish; so inputs with a clear
+spectral gap, and all inputs above dimension 2048, stay on power steps. A
+step whose solve fails or whose solution is not strictly positive is a
+power step too. The reported bracket is that of the final positive vector,
 however it was found.
 """
 
@@ -43,11 +43,8 @@ __all__ = [
     "ImplicitTensor",
     "AdjacencyTensor",
     "SignlessLaplacianTensor",
-    "DenseTensor",
-    "identity_tensor",
     "SpectralResult",
     "txk",
-    "row_sums",
     "s_ratios",
     "rho_bounds",
     "weakly_irreducible",
@@ -56,11 +53,6 @@ __all__ = [
     "lift_vector",
     "half_edge_constancy",
 ]
-
-# Entry tables grow as n^k; dense tensors are only meant for desk-scale
-# cross-checks.
-_DENSE_MAX_ORDER = 4
-_DENSE_MAX_DIM = 6
 
 # Largest dimension that takes Newton-Noda steps, as a memory bound: a step
 # raised the peak RSS by 106 MB at this size (about three dense n x n float
@@ -86,23 +78,24 @@ _SOLVE_SLOTS_PER_CUBE = 1 / 700
 
 
 class ImplicitTensor:
-    """Order-k, dimension-n nonnegative tensor seen through its action."""
+    """Order-k, dimension-n nonnegative tensor of a k-uniform hypergraph,
+    seen through its action."""
 
     kind: str
     order: int
     dim: int
+    hypergraph: Hypergraph
 
     def apply(self, x) -> np.ndarray:
         """T x^{k-1} as a length-n vector."""
         raise NotImplementedError
 
-    def row_sums(self) -> np.ndarray:
-        """r_i = sum of all entries with first index i."""
+    def jacobian(self, x) -> np.ndarray:
+        """Dense n x n Jacobian of x -> T x^{k-1}."""
         raise NotImplementedError
 
-    def _arc_lists(self) -> list[list[int]]:
-        """Successor lists of the digraph with an arc i -> j whenever some
-        positive entry has first index i and j among the rest."""
+    def row_sums(self) -> np.ndarray:
+        """r_i = sum of all entries with first index i."""
         raise NotImplementedError
 
     def _check_vector(self, x) -> np.ndarray:
@@ -187,44 +180,6 @@ class SignlessLaplacianTensor(ImplicitTensor):
         return jac
 
 
-class DenseTensor(ImplicitTensor):
-    """Tensor given by its full entry table (nonnegative, desk-scale only)."""
-
-    kind = "dense"
-
-    def __init__(self, table):
-        arr = np.asarray(table, dtype=float)
-        if arr.ndim < 2 or arr.ndim > _DENSE_MAX_ORDER:
-            raise ValueError(f"dense tensors support order 2..{_DENSE_MAX_ORDER}")
-        dims = set(arr.shape)
-        if len(dims) != 1:
-            raise ValueError("entry table must be cubical")
-        if arr.shape[0] > _DENSE_MAX_DIM:
-            raise ValueError(f"dense tensors support dimension up to {_DENSE_MAX_DIM}")
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise ValueError("entries must be nonnegative and finite")
-        self.table = arr
-        self.order = arr.ndim
-        self.dim = arr.shape[0]
-
-    def apply(self, x) -> np.ndarray:
-        x = self._check_vector(x)
-        out = self.table
-        for _ in range(self.order - 1):
-            out = out @ x
-        return out
-
-    def row_sums(self) -> np.ndarray:
-        return self.table.reshape(self.dim, -1).sum(axis=1)
-
-    def _arc_lists(self) -> list[list[int]]:
-        nbr: list[set[int]] = [set() for _ in range(self.dim)]
-        for idx in np.argwhere(self.table > 0):
-            i = int(idx[0])
-            nbr[i].update(int(j) for j in idx[1:])
-        return [sorted(s) for s in nbr]
-
-
 @lru_cache(maxsize=None)
 def _pair_positions(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Positions (i, j), i < j, within a k-edge, and for each pair the k-2
@@ -235,14 +190,6 @@ def _pair_positions(k: int) -> tuple[np.ndarray, np.ndarray]:
         np.array(pairs, dtype=np.intp),
         np.array(others, dtype=np.intp).reshape(len(pairs), k - 2),
     )
-
-
-def identity_tensor(order: int, dim: int) -> DenseTensor:
-    """Diagonal tensor with t_{i,i,...,i} = 1; satisfies I x^{k-1} = x^{[k-1]}."""
-    table = np.zeros((dim,) * order)
-    for i in range(dim):
-        table[(i,) * order] = 1.0
-    return DenseTensor(table)
 
 
 @dataclass(frozen=True)
@@ -269,10 +216,6 @@ def txk(t: ImplicitTensor, x) -> float:
     return float(arr @ t.apply(arr))
 
 
-def row_sums(t: ImplicitTensor) -> np.ndarray:
-    return t.row_sums()
-
-
 def s_ratios(t: ImplicitTensor, x) -> np.ndarray:
     """Collatz-Wielandt ratios (T x^{k-1})_i / x_i^{k-1} for positive x."""
     arr = t._check_vector(x)
@@ -288,66 +231,17 @@ def rho_bounds(t: ImplicitTensor) -> tuple[float, float]:
     return float(rs.min()), float(rs.max())
 
 
-def _tarjan_scc(adj: list[list[int]]) -> int:
-    """Number of strongly connected components of a successor-list digraph."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = bytearray(n)
-    stack: list[int] = []
-    count = 0
-    components = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[list[int]] = [[root, 0]]
-        while work:
-            v, ptr = work[-1]
-            if ptr == 0:
-                index[v] = low[v] = count
-                count += 1
-                stack.append(v)
-                on_stack[v] = 1
-            advanced = False
-            while work[-1][1] < len(adj[v]):
-                w = adj[v][work[-1][1]]
-                work[-1][1] += 1
-                if index[w] == -1:
-                    work.append([w, 0])
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                components += 1
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    if w == v:
-                        break
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-    return components
-
-
 def weakly_irreducible(t: ImplicitTensor) -> bool:
     """True when the digraph carried by the nonzero pattern (arc i -> j for
     every positive entry with first index i and j among the others) is
     strongly connected.
 
-    For adjacency and signless Laplacian tensors this digraph is the
-    co-occurrence graph of the hypergraph (the degree diagonal adds only
+    For the adjacency and signless Laplacian tensors of a hypergraph this
+    digraph is its co-occurrence graph (the degree diagonal adds only
     self-arcs). It is symmetric, so strong connectivity is plain hypergraph
-    connectivity and is tested as such. Other tensors go through Tarjan's
-    algorithm on their arc lists.
+    connectivity.
     """
-    if isinstance(t, (AdjacencyTensor, SignlessLaplacianTensor)):
-        return is_connected(t.hypergraph)
-    return _tarjan_scc(t._arc_lists()) == 1
+    return is_connected(t.hypergraph)
 
 
 def _newton_pays(k: int, n: int, slots: int, power_steps: int, contraction: float, reduction: float) -> bool:
@@ -400,11 +294,11 @@ def _bracketed_iteration(apply, jacobian, k: int, n: int, slots: int, tol: float
     """The loop behind power_iteration_rho and the matrix radii.
 
     apply(x) is T x^{k-1} for an order-k, dimension-n operator whose apply
-    reads `slots` stored entries, and jacobian(x) its Jacobian, or None for
-    an operator without one. Returns (x, iterations, lower, upper,
-    converged) with the bracket of the ratios shifted by 1.
+    reads `slots` stored entries, and jacobian(x) its Jacobian. Returns
+    (x, iterations, lower, upper, converged) with the bracket of the ratios
+    shifted by 1.
     """
-    newton_ready = jacobian is not None and n <= _NEWTON_MAX_DIM
+    newton_ready = n <= _NEWTON_MAX_DIM
     newton = False
     x = np.ones(n)
     lower = upper = width = math.inf
@@ -433,7 +327,7 @@ def _bracketed_iteration(apply, jacobian, k: int, n: int, slots: int, tol: float
 def power_iteration_rho(
     t: ImplicitTensor, tol: float = 1e-10, max_iter: int = 1_000_000
 ) -> SpectralResult:
-    """Spectral radius of a nonnegative weakly irreducible tensor.
+    """Spectral radius of the tensor of a connected hypergraph.
 
     Starts from the all-ones vector x and, at each step, forms the ratios
     y_i / x_i^{k-1} of y = T x^{k-1} + x^{[k-1]} (diagonal shift 1), which
@@ -444,22 +338,17 @@ def power_iteration_rho(
     max entry 1, until the power steps taken, or those the bracket's
     contraction over the last one says are still needed, would cost more
     than the Newton-Noda steps that finish (about ten, four for k = 2);
-    from then on, by Newton-Noda steps. Only adjacency
-    and signless Laplacian tensors of dimension at most 2048 take them, and
-    a Newton-Noda step whose linear solve fails or whose result is not
-    strictly positive is replaced by the power step. Either way x stays
-    positive with max entry 1, so the final bracket is a Collatz-Wielandt
-    bracket however x was found.
+    from then on, by Newton-Noda steps. Only tensors of dimension at most
+    2048 take them, and a Newton-Noda step whose linear solve fails or whose
+    result is not strictly positive is replaced by the power step. Either
+    way x stays positive with max entry 1, so the final bracket is a
+    Collatz-Wielandt bracket however x was found.
     """
     check_solver_controls(tol, max_iter)
     if not weakly_irreducible(t):
         raise ValueError("tensor is not weakly irreducible")
-    if isinstance(t, (AdjacencyTensor, SignlessLaplacianTensor)):
-        jacobian, slots = t.jacobian, t.hypergraph.m * t.order
-    else:
-        jacobian, slots = None, 0
     x, iterations, lower, upper, converged = _bracketed_iteration(
-        t.apply, jacobian, t.order, t.dim, slots, tol, max_iter
+        t.apply, t.jacobian, t.order, t.dim, t.hypergraph.m * t.order, tol, max_iter
     )
     return SpectralResult(
         rho=0.5 * (lower + upper) - 1.0,

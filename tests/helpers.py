@@ -4,9 +4,9 @@ These deliberately avoid the code paths under test: parity searches scan
 all 2^n splits, spectral radii come from numpy's dense symmetric solver,
 GF(2) systems go through eager Gauss-Jordan elimination, the adjacency
 action scatters with np.add.at, Jacobians are summed edge by edge in a loop,
-the power iteration is the plain shifted loop, strong connectivity is read
-off the co-occurrence arc lists, and connected classes come from a scan of
-every labelled graph.
+the power iteration is the plain shifted loop, strong connectivity is
+counted by Tarjan's algorithm on the co-occurrence arc lists, and connected
+classes come from a scan of every labelled graph.
 """
 
 from __future__ import annotations
@@ -129,6 +129,52 @@ def cooccurrence_arcs(h: Hypergraph) -> list[list[int]]:
         for u in e:
             nbr[u].update(w for w in e if w != u)
     return [sorted(s) for s in nbr]
+
+
+def _tarjan_scc(adj: list[list[int]]) -> int:
+    """Number of strongly connected components of a successor-list digraph."""
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = bytearray(n)
+    stack: list[int] = []
+    count = 0
+    components = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work: list[list[int]] = [[root, 0]]
+        while work:
+            v, ptr = work[-1]
+            if ptr == 0:
+                index[v] = low[v] = count
+                count += 1
+                stack.append(v)
+                on_stack[v] = 1
+            advanced = False
+            while work[-1][1] < len(adj[v]):
+                w = adj[v][work[-1][1]]
+                work[-1][1] += 1
+                if index[w] == -1:
+                    work.append([w, 0])
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                components += 1
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = 0
+                    if w == v:
+                        break
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+    return components
 
 
 def scan_connected_class_codes(n: int) -> tuple[int, ...]:

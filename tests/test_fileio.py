@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergraph_spectra import (
     Hypergraph,
@@ -102,3 +104,41 @@ class TestVertexLimit:
     def test_hostile_header_refused_before_the_body(self):
         with pytest.raises(ParseError, match="line 2: .*limit"):
             parse_hypergraph("# comment\nhypergraph 4 1000000000000 1\n0 1 2 3\n")
+
+
+@st.composite
+def uniform_edge_sets(draw, k_min: int, k_max: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """(k, n, edges): distinct random k-sets on n vertices."""
+    k = draw(st.integers(k_min, k_max))
+    n = draw(st.integers(k, k + 6))
+    edge = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
+    edges = draw(st.sets(edge.map(lambda e: tuple(sorted(e))), max_size=12))
+    return k, n, tuple(edges)
+
+
+def reshuffled(text: str, data: st.DataObject) -> str:
+    """text with its edge lines in a random order and a comment line at a
+    random position."""
+    header, *edges = text.splitlines()
+    lines = [header] + data.draw(st.permutations(edges))
+    lines.insert(data.draw(st.integers(0, len(lines))), "# shuffled")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(uniform_edge_sets(2, 6), st.data())
+def test_hypergraph_round_trip(spec, data):
+    h = Hypergraph(*spec)
+    text = serialize_hypergraph(h)
+    assert parse_hypergraph(text) == h
+    assert parse_hypergraph(reshuffled(text, data)) == h
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(uniform_edge_sets(2, 2), st.data())
+def test_graph_round_trip(spec, data):
+    _, n, edges = spec
+    g = SimpleGraph(n, edges)
+    text = serialize_graph(g)
+    assert parse_graph(text) == g
+    assert parse_graph(reshuffled(text, data)) == g

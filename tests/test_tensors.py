@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from hypergraph_spectra import (
     AdjacencyTensor,
-    DenseTensor,
     Hypergraph,
     SignlessLaplacianTensor,
     SimpleGraph,
@@ -22,14 +21,13 @@ from hypergraph_spectra import (
     degree,
     generalized_power,
     half_edge_constancy,
-    identity_tensor,
     lift_vector,
     path_graph,
     power_iteration_rho,
     rho_adjacency_matrix,
+    remove_edge,
     rho_bounds,
     rho_signless_laplacian_matrix,
-    row_sums,
     s_cycle,
     s_path,
     s_ratios,
@@ -38,9 +36,9 @@ from hypergraph_spectra import (
     weakly_irreducible,
 )
 from hypergraph_spectra import tensors
-from hypergraph_spectra.tensors import _tarjan_scc
 
 from helpers import (
+    _tarjan_scc,
     add_at_apply,
     cooccurrence_arcs,
     eig_rho_adjacency,
@@ -128,7 +126,7 @@ class TestSignlessLaplacianApply:
 class TestRowSums:
     def test_adjacency_row_sums_are_degrees(self):
         h, bmap = generalized_power(cycle_plus_pendant(4), 4, 2)
-        rs = row_sums(AdjacencyTensor(h))
+        rs = AdjacencyTensor(h).row_sums()
         base_deg = {0: 1, 1: 3, 2: 2, 3: 2}
         for v, block in enumerate(bmap.vertex_blocks):
             for u in block:
@@ -137,37 +135,13 @@ class TestRowSums:
     def test_signless_doubles_them(self):
         h = s_path(4, 2, 2)
         np.testing.assert_array_equal(
-            row_sums(SignlessLaplacianTensor(h)),
-            2.0 * row_sums(AdjacencyTensor(h)),
+            SignlessLaplacianTensor(h).row_sums(),
+            2.0 * AdjacencyTensor(h).row_sums(),
         )
 
     def test_bounds_bracket(self):
         assert rho_bounds(AdjacencyTensor(s_path(4, 2, 2))) == (1.0, 2.0)
         assert rho_bounds(SignlessLaplacianTensor(s_cycle(4, 2, 3))) == (4.0, 4.0)
-
-
-class TestDenseTensor:
-    def test_all_ones_cubic(self):
-        t = DenseTensor(np.ones((3, 3, 3)))
-        np.testing.assert_allclose(t.apply([1.0, 1.0, 1.0]), [9.0, 9.0, 9.0])
-        assert row_sums(t).tolist() == [9.0, 9.0, 9.0]
-
-    def test_identity_applies_entrywise_power(self):
-        t = identity_tensor(4, 3)
-        x = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(t.apply(x), x**3)
-
-    def test_caps_and_validation(self):
-        with pytest.raises(ValueError):
-            DenseTensor(np.zeros((2,) * 5))  # order cap
-        with pytest.raises(ValueError):
-            DenseTensor(np.zeros((7, 7)))  # dimension cap
-        with pytest.raises(ValueError):
-            DenseTensor(np.zeros((2, 3)))  # not cubical
-        with pytest.raises(ValueError):
-            DenseTensor([[0.0, -1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            DenseTensor([[np.nan, 0.0], [0.0, 0.0]])
 
 
 class TestApplyMatchesAddAtReference:
@@ -230,21 +204,7 @@ class TestWeakIrreducibility:
 
     def test_disconnected_hypergraph_no(self):
         assert not weakly_irreducible(AdjacencyTensor(DISJOINT_PAIR))
-
-    def test_diagonal_tensor_no(self):
-        assert not weakly_irreducible(identity_tensor(3, 3))
-
-    def test_one_way_arc_no(self):
-        table = np.zeros((2, 2, 2))
-        table[0, 1, 1] = 1.0
-        assert not weakly_irreducible(DenseTensor(table))
-
-    def test_cyclic_shift_yes(self):
-        table = np.zeros((3, 3, 3))
-        for i in range(3):
-            j = (i + 1) % 3
-            table[i, j, j] = 1.0
-        assert weakly_irreducible(DenseTensor(table))
+        assert not weakly_irreducible(SignlessLaplacianTensor(Hypergraph(3, 3)))
 
 
 class TestPowerIteration:
@@ -265,22 +225,6 @@ class TestPowerIteration:
             h, _ = generalized_power(caterpillar([r]), k, 1)
             res = power_iteration_rho(AdjacencyTensor(h))
             assert math.isclose(res.rho, r ** (1.0 / k), rel_tol=0, abs_tol=1e-9)
-
-    def test_rank_one_dense_closed_form(self):
-        a = np.array([1.0, 2.0, 0.5, 3.0])
-        t = DenseTensor(np.einsum("i,j,k->ijk", a, a, a))
-        res = power_iteration_rho(t)
-        expected = float(np.sum(a**1.5) ** 2)
-        assert math.isclose(res.rho, expected, rel_tol=1e-10)
-        vec = np.sqrt(a)
-        np.testing.assert_allclose(res.eigenvector, vec / vec.max(), atol=1e-8)
-
-    def test_cyclic_shift_spectral_radius_one(self):
-        table = np.zeros((3, 3, 3))
-        for i in range(3):
-            j = (i + 1) % 3
-            table[i, j, j] = 1.0
-        assert power_iteration_rho(DenseTensor(table)).rho == 1.0
 
     def test_matches_matrix_radius_through_blowup(self):
         g = cycle_plus_pendant(4)
@@ -351,7 +295,7 @@ class TestPowerIteration:
 class TestRatiosAndSubsolutions:
     def test_ratios_at_ones_are_row_sums(self):
         t = AdjacencyTensor(s_path(4, 2, 2))
-        np.testing.assert_array_equal(s_ratios(t, np.ones(6)), row_sums(t))
+        np.testing.assert_array_equal(s_ratios(t, np.ones(6)), t.row_sums())
 
     def test_ratios_need_positive_vector(self):
         t = AdjacencyTensor(s_path(4, 2, 2))
@@ -371,7 +315,7 @@ class TestRatiosAndSubsolutions:
         assert check_subsolution(t, np.ones(6), 2.0) == "inconclusive"
 
     def test_mixed_signs_inconclusive(self):
-        t = DenseTensor(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        t = AdjacencyTensor(Hypergraph(2, 2, ((0, 1),)))
         assert check_subsolution(t, [1.0, 2.0], 1.0) == "inconclusive"
 
     def test_rejects_bad_test_vectors(self):
@@ -384,14 +328,14 @@ class TestRatiosAndSubsolutions:
 
 class TestEntrywiseMonotonicity:
     def test_larger_entries_larger_radius(self):
-        rng = np.random.default_rng(17)
-        big = rng.uniform(0.5, 1.0, size=(4, 4, 4))
-        small = big.copy()
-        small[0, 1, 2] *= 0.25
-        rho_big = power_iteration_rho(DenseTensor(big)).rho
-        rho_small = power_iteration_rho(DenseTensor(small)).rho
-        assert rho_small < rho_big
-        assert power_iteration_rho(DenseTensor(big.copy())).rho == rho_big
+        h, bmap = generalized_power(cycle_plus_pendant(6), 4, 2)
+        lifted = tuple(sorted(bmap.vertex_blocks[2] + bmap.vertex_blocks[3]))
+        smaller = remove_edge(h, h.edges.index(lifted))  # still connected
+        big = power_iteration_rho(AdjacencyTensor(h))
+        small = power_iteration_rho(AdjacencyTensor(smaller))
+        assert small.upper < big.lower
+        rebuilt = generalized_power(cycle_plus_pendant(6), 4, 2)[0]
+        assert power_iteration_rho(AdjacencyTensor(rebuilt)).rho == big.rho
 
 
 class TestLifting:
@@ -610,14 +554,6 @@ class TestNewtonNoda:
         assert iterations > 100
         assert np.array_equal(vec, x)
         assert rho == 0.5 * (lower + upper) - 1.0
-
-    def test_dense_tensor_keeps_power_steps(self):
-        a = np.array([1.0, 2.0, 0.5, 3.0])
-        t = DenseTensor(np.einsum("i,j,k->ijk", a, a, a) + 0.1)
-        res = power_iteration_rho(t, tol=1e-12)
-        iterations, x, _, _ = power_iteration_reference(t, 1e-12, 1_000_000)
-        assert res.iterations == iterations
-        assert np.array_equal(res.eigenvector, x)
 
 
 @st.composite
