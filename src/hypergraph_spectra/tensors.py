@@ -129,8 +129,10 @@ class AdjacencyTensor(ImplicitTensor):
         np.cumprod(X[:, :-1], axis=1, out=left[:, 1:])
         right = np.ones_like(X)
         np.cumprod(X[:, :0:-1], axis=1, out=right[:, -2::-1])
-        # bincount adds in the same order as np.add.at, at a fraction of the cost.
-        return np.bincount(E.ravel(), weights=(left * right).ravel(), minlength=self.dim)
+        # bincount adds in the same order as np.add.at, at a fraction of the cost;
+        # with no edges it returns integers, hence the cast.
+        out = np.bincount(E.ravel(), weights=(left * right).ravel(), minlength=self.dim)
+        return out.astype(float, copy=False)
 
     def row_sums(self) -> np.ndarray:
         # Each incident edge contributes (k-1)! entries of 1/(k-1)!.
@@ -147,7 +149,7 @@ class AdjacencyTensor(ImplicitTensor):
         weights = np.prod(x[E][:, others], axis=2)
         flat = E[:, pairs[:, 0]] * self.dim + E[:, pairs[:, 1]]
         above = np.bincount(flat.ravel(), weights=weights.ravel(), minlength=self.dim**2)
-        above = above.reshape(self.dim, self.dim)
+        above = above.astype(float, copy=False).reshape(self.dim, self.dim)
         return above + above.T
 
 

@@ -204,7 +204,13 @@ class TestWeakIrreducibility:
 
     def test_disconnected_hypergraph_no(self):
         assert not weakly_irreducible(AdjacencyTensor(DISJOINT_PAIR))
-        assert not weakly_irreducible(SignlessLaplacianTensor(Hypergraph(3, 3)))
+
+    def test_diagonal_tensor_no(self):
+        # edgeless: Q = D + A has only (zero) diagonal entries, no arcs
+        t = SignlessLaplacianTensor(Hypergraph(3, 3))
+        jac = t.jacobian(np.ones(3))
+        np.testing.assert_array_equal(jac, np.diag(np.diag(jac)))
+        assert not weakly_irreducible(t)
 
 
 class TestPowerIteration:
