@@ -7,7 +7,7 @@ sides directly comparable: they run the tensor solver's loop with the dense
 matrix as the operator, so the k = 2 Newton-Noda step there is Noda's
 shifted inverse iteration, taken once power steps would cost more. Only the
 apply differs: a matrix-vector product, with which a power step on a
-7-vertex graph takes about 12 us, against about 35 us through the edge-list
+7-vertex graph takes about 12 us, against about 20 us through the edge-list
 apply of a k = 2 AdjacencyTensor.
 
 The second half of the module tracks the classical limit point

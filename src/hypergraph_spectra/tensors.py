@@ -67,11 +67,14 @@ _NEWTON_MAX_DIM = 2048
 _NEWTON_STEPS = 10
 _NODA_STEPS = 4
 
-# Step costs in edge slots of apply (about 20 ns each): a power step costs
-# m * k plus a fixed 1500, a Newton-Noda step n^2 for the Jacobian plus
-# n^3 / 700 for the solve plus a fixed 3000. Fitted for n = 7..2048 on a
-# 2-vCPU x86_64 host (Python 3.11, numpy 2.4, OpenBLAS); each estimate is
-# within 1.5x of the measured time.
+# Step costs in edge slots of apply: a power step costs m * k plus a fixed
+# 1500, a Newton-Noda step n^2 for the Jacobian plus n^3 / 700 for the solve
+# plus a fixed 3000. Fitted for n = 7..2048 on a 2-vCPU x86_64 host
+# (Python 3.11, numpy 2.4, OpenBLAS), each estimate within 1.5x of the
+# measured time, when a slot cost about 20 ns. The column-kernel apply takes
+# 4-6 ns per slot plus 10-25 us per call (k = 3..8, m = 500..8000, same
+# host), so these prices now overstate power steps on large inputs; they are
+# kept as fitted, since refitting moves the switch points and so the output.
 _POWER_STEP_SLOTS = 1500
 _NEWTON_STEP_SLOTS = 3000
 _SOLVE_SLOTS_PER_CUBE = 1 / 700
@@ -106,7 +109,12 @@ class ImplicitTensor:
 
 
 class AdjacencyTensor(ImplicitTensor):
-    """Adjacency tensor of a k-uniform hypergraph."""
+    """Adjacency tensor of a k-uniform hypergraph.
+
+    apply works in three (m, k) buffers that the tensor allocates once and
+    reuses on every call, so one tensor must not serve concurrent apply
+    calls from several threads. The array apply returns is its own.
+    """
 
     kind = "adjacency"
 
@@ -119,19 +127,37 @@ class AdjacencyTensor(ImplicitTensor):
         else:
             self._edges = np.empty((0, h.k), dtype=np.intp)
         self._deg = np.bincount(self._edges.ravel(), minlength=h.n).astype(float)
+        # apply's buffers: x gathered per slot, and the products of the
+        # slots to the left and to the right of each.
+        self._gathered = np.empty(self._edges.shape)
+        self._left = np.empty(self._edges.shape)
+        self._right = np.empty(self._edges.shape)
+        self._left[:, 0] = 1.0
+        self._right[:, -1] = 1.0
+        # Leave-one-out products per edge, exact even with zero entries, as
+        # (factor, factor, out) slot columns: prefixes left to right, then
+        # suffixes right to left, each in cumulative-product order.
+        X, L, R = self._gathered.T, self._left.T, self._right.T
+        self._products = tuple((L[j - 1], X[j - 1], L[j]) for j in range(1, h.k)) + tuple(
+            (R[j + 1], X[j + 1], R[j]) for j in range(h.k - 2, -1, -1)
+        )
+
+    def __reduce__(self):
+        # Copies and pickles rebuild the buffers: a copied column view would
+        # no longer alias its copied buffer.
+        return type(self), (self.hypergraph,)
 
     def apply(self, x) -> np.ndarray:
         x = self._check_vector(x)
-        E = self._edges
-        X = x[E]  # (m, k)
-        # Leave-one-out products per edge, exact even with zero entries.
-        left = np.ones_like(X)
-        np.cumprod(X[:, :-1], axis=1, out=left[:, 1:])
-        right = np.ones_like(X)
-        np.cumprod(X[:, :0:-1], axis=1, out=right[:, -2::-1])
+        # Every index is a vertex, so "clip" changes nothing; it only spares
+        # the buffered copy that the default bounds check makes of out.
+        np.take(x, self._edges, out=self._gathered, mode="clip")
+        for a, b, out in self._products:
+            np.multiply(a, b, out=out)
+        np.multiply(self._left, self._right, out=self._gathered)
         # bincount adds in the same order as np.add.at, at a fraction of the cost;
         # with no edges it returns integers, hence the cast.
-        out = np.bincount(E.ravel(), weights=(left * right).ravel(), minlength=self.dim)
+        out = np.bincount(self._edges.ravel(), weights=self._gathered.ravel(), minlength=self.dim)
         return out.astype(float, copy=False)
 
     def row_sums(self) -> np.ndarray:
@@ -219,10 +245,10 @@ def txk(t: ImplicitTensor, x) -> float:
 
 
 def s_ratios(t: ImplicitTensor, x) -> np.ndarray:
-    """Collatz-Wielandt ratios (T x^{k-1})_i / x_i^{k-1} for positive x."""
+    """Collatz-Wielandt ratios (T x^{k-1})_i / x_i^{k-1} for finite positive x."""
     arr = t._check_vector(x)
-    if np.any(arr <= 0):
-        raise ValueError("ratios need a strictly positive vector")
+    if not np.all(np.isfinite(arr) & (arr > 0)):
+        raise ValueError("ratios need a finite, strictly positive vector")
     return t.apply(arr) / arr ** (t.order - 1)
 
 
@@ -369,11 +395,14 @@ def check_subsolution(t: ImplicitTensor, y, mu: float) -> str:
     Returns "strictly-below" when <= holds everywhere with < somewhere
     (certifying rho(t) < mu for weakly irreducible t), "strictly-above" for
     the mirror case (rho(t) > mu), else "inconclusive". Comparisons are
-    exact float comparisons; callers supply mu with their own margin.
+    exact float comparisons; callers supply mu with their own margin. y must
+    be finite, nonnegative and nonzero, and mu finite.
     """
     arr = t._check_vector(y)
-    if np.any(arr < 0) or not np.any(arr > 0):
-        raise ValueError("y must be nonnegative and nonzero")
+    if not np.all(np.isfinite(arr) & (arr >= 0)) or not np.any(arr > 0):
+        raise ValueError("y must be finite, nonnegative and nonzero")
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu!r}")
     lhs = t.apply(arr)
     rhs = mu * arr ** (t.order - 1)
     if np.all(lhs <= rhs) and np.any(lhs < rhs):
@@ -395,8 +424,8 @@ def lift_vector(x, bmap: BlowupMap) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.shape != (len(bmap.vertex_blocks),):
         raise ValueError("vector length must match the base vertex count")
-    if np.any(arr <= 0):
-        raise ValueError("lifting needs a strictly positive vector")
+    if not np.all(np.isfinite(arr) & (arr > 0)):
+        raise ValueError("lifting needs a finite, strictly positive vector")
     out = np.empty(bmap.total_vertices)
     for v, block in enumerate(bmap.vertex_blocks):
         out[list(block)] = arr[v] ** (2.0 / bmap.k)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from types import SimpleNamespace
 
@@ -145,10 +147,12 @@ class TestRowSums:
 
 
 class TestApplyMatchesAddAtReference:
+    RANKS = (2, 3, 4, 5, 6, 8, 12, 20)
+
     def test_bit_identical_on_random_hypergraphs(self):
         rng = random.Random(31)
         nrng = np.random.default_rng(31)
-        for k in (2, 3, 4, 6):
+        for k in self.RANKS:
             for _ in range(10):
                 n = rng.randrange(k, 40)
                 h = random_hypergraph(rng, k, n, rng.randrange(0, 3 * n))
@@ -160,14 +164,68 @@ class TestApplyMatchesAddAtReference:
                 signless = SignlessLaplacianTensor(h).apply(x)
                 assert np.array_equal(signless, ref + deg * x ** (k - 1))
 
+    @pytest.mark.parametrize("k", RANKS)
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_bit_identical_with_at_most_one_edge(self, k, m):
+        n = k + 2
+        h = Hypergraph(k, n, (tuple(range(1, k + 1)),)[:m])
+        x = np.random.default_rng(k).uniform(0.5, 1.5, size=n)
+        out = AdjacencyTensor(h).apply(x)
+        assert out.dtype == float
+        assert np.array_equal(out, add_at_apply(h, x))
+
     def test_bit_identical_on_a_lift(self):
         h, _ = generalized_power(caterpillar([2, 0, 3]), 4, 2)
         x = np.random.default_rng(4).uniform(0.1, 1.0, size=h.n)
         assert np.array_equal(AdjacencyTensor(h).apply(x), add_at_apply(h, x))
 
+    def test_bit_identical_on_a_long_loose_path(self):
+        h = s_path(20, 1, 20)
+        x = np.random.default_rng(20).uniform(0.5, 1.5, size=h.n)
+        assert np.array_equal(AdjacencyTensor(h).apply(x), add_at_apply(h, x))
+
+    def test_bit_identical_at_lift_scale(self):
+        h = random_hypergraph(random.Random(8000), 4, 4000, 8000)
+        assert h.m >= 8000
+        x = np.random.default_rng(8000).uniform(0.1, 1.0, size=h.n)
+        assert np.array_equal(AdjacencyTensor(h).apply(x), add_at_apply(h, x))
+
     def test_edgeless_gives_zeros(self):
         h = Hypergraph(4, 3)
         assert np.array_equal(AdjacencyTensor(h).apply(np.ones(3)), np.zeros(3))
+
+
+class TestApplyBufferReuse:
+    def test_repeated_calls_match_a_fresh_tensor(self):
+        h, _ = generalized_power(caterpillar([2, 0, 3]), 4, 2)
+        nrng = np.random.default_rng(5)
+        x1, x2 = nrng.uniform(0.1, 1.0, size=(2, h.n))
+        x2[::3] = 0.0
+        t = AdjacencyTensor(h)
+        t.apply(x1)
+        t.apply(x2)
+        assert np.array_equal(t.apply(x1), AdjacencyTensor(h).apply(x1))
+
+    @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))])
+    def test_copies_keep_working(self, cls, duplicate):
+        h = s_path(4, 2, 3)
+        x1, x2 = np.random.default_rng(7).uniform(0.1, 1.0, size=(2, h.n))
+        t = cls(h)
+        t.apply(x2)
+        twin = duplicate(t)
+        assert np.array_equal(twin.apply(x1), cls(h).apply(x1))
+        assert np.array_equal(t.apply(x2), cls(h).apply(x2))
+
+    def test_returned_array_is_not_a_buffer(self):
+        h = s_path(4, 2, 3)
+        x = np.random.default_rng(6).uniform(0.1, 1.0, size=h.n)
+        t = AdjacencyTensor(h)
+        expected = t.apply(x).copy()
+        first = t.apply(x)
+        first[:] = np.nan
+        assert np.array_equal(t.apply(x), expected)
+        assert not np.shares_memory(t.apply(x), t.apply(x))
 
 
 class TestIrreducibilityMatchesTarjan:
@@ -308,6 +366,12 @@ class TestRatiosAndSubsolutions:
         with pytest.raises(ValueError):
             s_ratios(t, [1.0, 0.0, 1.0, 1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_ratios_need_finite_vector(self, bad):
+        t = AdjacencyTensor(s_path(4, 2, 2))
+        with pytest.raises(ValueError):
+            s_ratios(t, [bad, 1.0, 1.0, 1.0, 1.0, 1.0])
+
     def test_strictly_below_certificate(self):
         t = AdjacencyTensor(s_path(4, 2, 2))
         assert check_subsolution(t, np.ones(6), 2.5) == "strictly-below"
@@ -330,6 +394,18 @@ class TestRatiosAndSubsolutions:
             check_subsolution(t, np.zeros(6), 1.0)
         with pytest.raises(ValueError):
             check_subsolution(t, -np.ones(6), 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_test_vector(self, bad):
+        t = AdjacencyTensor(s_path(4, 2, 2))
+        with pytest.raises(ValueError):
+            check_subsolution(t, [bad, 1.0, 1.0, 1.0, 1.0, 1.0], 2.0)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_mu(self, mu):
+        t = AdjacencyTensor(s_path(4, 2, 2))
+        with pytest.raises(ValueError):
+            check_subsolution(t, np.ones(6), mu)
 
 
 class TestEntrywiseMonotonicity:
@@ -372,6 +448,12 @@ class TestLifting:
             lift_vector([1.0, 0.0], bmap)
         with pytest.raises(ValueError):
             lift_vector([1.0, 1.0, 1.0], bmap)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite(self, bad):
+        _, bmap = generalized_power(path_graph(2), 4, 2)
+        with pytest.raises(ValueError):
+            lift_vector([bad, 1.0], bmap)
 
 
 class TestHalfEdgeConstancy:
