@@ -4,6 +4,9 @@ The central operation turns a simple graph G into a k-uniform hypergraph by
 replacing every vertex with an s-set and every edge uv with the k-set made
 of the two endpoint sets plus k-2s fresh vertices. With s = k/2 no fresh
 vertices are needed and the edges are unions of two "half edges".
+
+The blow-ups and loose paths and cycles refuse, before building anything, a
+result with more vertices than a file may declare (MAX_VERTICES).
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Hypergraph, SimpleGraph, is_connected
+from .fileio import MAX_VERTICES
 
 __all__ = [
     "BlowupMap",
@@ -26,6 +30,11 @@ __all__ = [
     "subdivide",
     "internal_path_edges",
 ]
+
+
+def _check_size(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ValueError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +73,7 @@ def generalized_power(g: SimpleGraph, k: int, s: int) -> tuple[Hypergraph, Blowu
         raise ValueError("edge size k must be at least 3")
     if s < 1 or 2 * s > k:
         raise ValueError(f"s={s} out of range: need 1 <= s <= k/2 for k={k}")
+    _check_size(s * g.n + (k - 2 * s) * g.m)
     vertex_blocks = tuple(tuple(range(v * s, (v + 1) * s)) for v in range(g.n))
     base = g.n * s
     extra = k - 2 * s
@@ -92,6 +102,7 @@ def s_path(k: int, s: int, d: int) -> Hypergraph:
         raise ValueError("need at least one edge")
     step = k - s
     n = s + d * step
+    _check_size(n)
     edges = tuple(tuple(range(j * step, j * step + k)) for j in range(d))
     return Hypergraph(k, n, edges)
 
@@ -112,6 +123,7 @@ def s_cycle(k: int, s: int, d: int) -> Hypergraph:
         raise ValueError(f"cycle on {n} vertices cannot carry {k}-vertex edges")
     if n == k:
         raise ValueError("cycle too short: all edges would coincide")
+    _check_size(n)
     edges = tuple(
         tuple(sorted((j * step + t) % n for t in range(k))) for j in range(d)
     )

@@ -9,7 +9,10 @@ edge are legal; an empty vertex set is not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from functools import cached_property
+from typing import Union
+
+import numpy as np
 
 __all__ = [
     "SimpleGraph",
@@ -66,9 +69,44 @@ class SimpleGraph:
         return (u, v) in self.edges
 
 
+def canonical_edges(edges: np.ndarray, n: int) -> tuple[np.ndarray | None, int | None]:
+    """Canonical form of an (m, k) integer array of edges, or its first fault.
+
+    Returns (canon, None) when every row is a set of k distinct vertices of
+    0..n-1 and no two rows are the same set; canon holds the rows sorted
+    ascending, in lexicographic order, as a new intp array. Otherwise
+    returns (None, i) with i the first row, in input order, that is out of
+    range, repeats a vertex, or is the same set as an earlier row.
+    """
+    bad = ((edges < 0) | (edges >= n)).any(axis=1)
+    # Out-of-range rows are already bad, so wrapping them in the cast is harmless.
+    rows = np.sort(edges, axis=1).astype(np.intp, copy=False)
+    bad |= (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+    first = int(bad.argmax()) if bad.any() else len(rows)
+    canon = rows[:first]
+    step = canon[1:] - canon[:-1]
+    if not np.all(step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0):
+        # Not already in strictly increasing order. lexsort is stable, so
+        # each set's first occurrence leads its run.
+        order = np.lexsort(canon.T[::-1])
+        canon = canon[order]
+        repeats = order[1:][(canon[1:] == canon[:-1]).all(axis=1)]
+        if repeats.size:
+            first = min(first, int(repeats.min()))
+    if first < len(rows):
+        return None, first
+    return canon, None
+
+
 @dataclass(frozen=True)
 class Hypergraph:
-    """k-uniform hypergraph on vertices 0..n-1; every edge is a k-set."""
+    """k-uniform hypergraph on vertices 0..n-1; every edge is a k-set.
+
+    edges may also be an (m, k) integer array, which numpy checks and puts
+    in canonical form; `edges` is then the same tuple of tuples as for the
+    rows given as tuples. edge_array holds the canonical edges as a
+    read-only (m, k) intp array.
+    """
 
     k: int
     n: int
@@ -79,6 +117,21 @@ class Hypergraph:
             raise ValueError("edge size k must be at least 2")
         if self.n < 1:
             raise ValueError("hypergraph needs at least one vertex")
+        if isinstance(self.edges, np.ndarray):
+            rows = self.edges
+            if rows.ndim != 2 or rows.shape[1] != self.k or rows.dtype.kind not in "iu":
+                raise ValueError(
+                    f"edge array must be (m, {self.k}) integers, got {rows.shape} {rows.dtype}"
+                )
+            canon, _ = canonical_edges(rows, self.n)
+            if canon is not None:
+                canon.flags.writeable = False
+                self.__dict__["edge_array"] = canon  # where cached_property keeps it
+                # Zipped columns build the tuples about twice as fast as rows.
+                object.__setattr__(self, "edges", tuple(zip(*canon.T.tolist())) if len(canon) else ())
+                return
+            # Refused: the loop below names the first bad row in its own words.
+            object.__setattr__(self, "edges", tuple(map(tuple, rows.tolist())))
         seen: set[tuple[int, ...]] = set()
         canon = []
         for e in self.edges:
@@ -96,6 +149,12 @@ class Hypergraph:
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        arr = np.array(self.edges, dtype=np.intp).reshape(self.m, self.k)
+        arr.flags.writeable = False
+        return arr
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .constructions import BlowupMap
-from .core import Hypergraph, check_solver_controls, is_connected
+from .core import Hypergraph, check_solver_controls
 
 __all__ = [
     "ImplicitTensor",
@@ -122,10 +122,9 @@ class AdjacencyTensor(ImplicitTensor):
         self.hypergraph = h
         self.order = h.k
         self.dim = h.n
-        if h.m:
-            self._edges = np.array(h.edges, dtype=np.intp)
-        else:
-            self._edges = np.empty((0, h.k), dtype=np.intp)
+        # A writable copy: np.take and np.bincount copy a read-only index
+        # array on every call.
+        self._edges = h.edge_array.copy()
         self._deg = np.bincount(self._edges.ravel(), minlength=h.n).astype(float)
         # apply's buffers: x gathered per slot, and the products of the
         # slots to the left and to the right of each.
@@ -267,9 +266,30 @@ def weakly_irreducible(t: ImplicitTensor) -> bool:
     For the adjacency and signless Laplacian tensors of a hypergraph this
     digraph is its co-occurrence graph (the degree diagonal adds only
     self-arcs). It is symmetric, so strong connectivity is plain hypergraph
-    connectivity.
+    connectivity, decided here on the edge array.
     """
-    return is_connected(t.hypergraph)
+    return _connected(t.hypergraph.edge_array, t.dim)
+
+
+def _connected(edges: np.ndarray, n: int) -> bool:
+    """True when the hypergraph with these (m, k) edges on n vertices is
+    connected (a single vertex counts), by hook-and-compress labelling:
+    each round hooks every label an edge sees to the smallest of them, then
+    points every vertex at its label's root. Labels only decrease, and each
+    round at least halves the number of labels in every component that has
+    more than one, so there are O(log n) rounds."""
+    label = np.arange(n)
+    while True:
+        seen = label[edges]
+        low = seen.min(axis=1)
+        if np.all(seen == low[:, None]):
+            return bool(np.all(label == 0))
+        np.minimum.at(label, seen, low[:, None])
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
 def _newton_pays(k: int, n: int, slots: int, power_steps: int, contraction: float, reduction: float) -> bool:

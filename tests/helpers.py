@@ -5,8 +5,9 @@ all 2^n splits, spectral radii come from numpy's dense symmetric solver,
 GF(2) systems go through eager Gauss-Jordan elimination, the adjacency
 action scatters with np.add.at, Jacobians are summed edge by edge in a loop,
 the power iteration is the plain shifted loop, strong connectivity is
-counted by Tarjan's algorithm on the co-occurrence arc lists, and connected
-classes come from a scan of every labelled graph.
+counted by Tarjan's algorithm on the co-occurrence arc lists, connected
+classes come from a scan of every labelled graph, and files are read one
+line at a time with str.splitlines, str.split and int().
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import math
 
 import numpy as np
 
-from hypergraph_spectra import Hypergraph, ParitySystem, SimpleGraph
+from hypergraph_spectra import Hypergraph, ParitySystem, ParseError, SimpleGraph
+from hypergraph_spectra.fileio import MAX_VERTICES
 
 
 def brute_odd_bipartite(h: Hypergraph) -> bool:
@@ -201,3 +203,66 @@ def scan_connected_class_codes(n: int) -> tuple[int, ...]:
             mapped |= ((codes >> b) & 1) << index[tuple(sorted((perm[u], perm[v])))]
         codes = codes[codes <= mapped]
     return tuple(int(c) for c in codes)
+
+
+def _significant_lines(text: str):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _ints(tokens: list[str], lineno: int) -> list[int]:
+    out = []
+    for tok in tokens:
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ParseError(f"line {lineno}: expected an integer, got {tok!r}") from None
+    return out
+
+
+def line_reader(text: str, magic: str) -> SimpleGraph | Hypergraph:
+    """A "graph" or "hypergraph" file read line by line, with the checks
+    and ParseError messages of the file format."""
+    header_arity = 2 if magic == "graph" else 3
+    lines = _significant_lines(text)
+    try:
+        lineno, line = next(lines)
+    except StopIteration:
+        raise ParseError("line 1: empty input") from None
+    tokens = line.split()
+    if tokens[0] != magic:
+        raise ParseError(f"line {lineno}: expected {magic!r} header, got {tokens[0]!r}")
+    if len(tokens) != 1 + header_arity:
+        raise ParseError(f"line {lineno}: {magic!r} header takes {header_arity} integers")
+    header = _ints(tokens[1:], lineno)
+    n, m = header[-2:]
+    if n > MAX_VERTICES:
+        raise ParseError(f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}")
+    arity = 2 if magic == "graph" else header[0]
+    if arity < 2 or n < 1 or m < 0:
+        raise ParseError("line 1: header values out of range")
+    edges: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    for lineno, line in lines:
+        if len(edges) == m:
+            raise ParseError(f"line {lineno}: more than {m} edge lines")
+        values = _ints(line.split(), lineno)
+        if len(values) != arity:
+            raise ParseError(f"line {lineno}: expected {arity} vertices, got {len(values)}")
+        for v in values:
+            if not 0 <= v < n:
+                raise ParseError(f"line {lineno}: vertex {v} out of range for n={n}")
+        edge = tuple(sorted(values))
+        if len(set(edge)) != arity:
+            raise ParseError(f"line {lineno}: repeated vertex in edge")
+        if edge in seen:
+            raise ParseError(f"line {lineno}: duplicate edge {edge}")
+        seen.add(edge)
+        edges.append(edge)
+    if len(edges) != m:
+        raise ParseError(f"expected {m} edge lines, got {len(edges)}")
+    if magic == "graph":
+        return SimpleGraph(n, tuple(edges))  # type: ignore[arg-type]
+    return Hypergraph(arity, n, tuple(edges))

@@ -254,6 +254,25 @@ class TestHostileControls:
         assert len(captured.err.splitlines()) == 1
         assert "limit" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spath", "--k", "4", "--s", "2", "--d", "100000000"],
+            ["scycle", "--k", "4", "--s", "2", "--d", "100000000"],
+            ["power", "--k", "3000000", "--s", "1"],
+        ],
+    )
+    def test_oversized_construction_refused_at_once(self, tmp_path, capsys, argv):
+        if argv[0] == "power":
+            argv = [*argv, "--in", write_graph(tmp_path, SimpleGraph(2, ((0, 1),)))]
+        start = time.perf_counter()
+        assert run_cli(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "limit" in captured.err
+
     def test_memory_error_maps_to_usage_error(self, tmp_path, capsys, monkeypatch):
         from hypergraph_spectra import cli
 

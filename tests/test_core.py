@@ -1,3 +1,7 @@
+import random
+import re
+
+import numpy as np
 import pytest
 
 from hypergraph_spectra import (
@@ -85,6 +89,67 @@ class TestHypergraph:
     def test_graphs_are_rank_two_hypergraphs(self):
         h = Hypergraph(2, 3, ((0, 1), (1, 2)))
         assert h.k == 2 and h.m == 2
+
+
+class TestHypergraphFromArray:
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+    def test_same_hypergraph_as_from_tuples(self, dtype):
+        rng = random.Random(7)
+        for k in (2, 3, 5):
+            for _ in range(20):
+                n = rng.randrange(k, 12)
+                rows = {tuple(rng.sample(range(n), k)) for _ in range(rng.randrange(0, 15))}
+                rows = list({tuple(sorted(r)): r for r in rows}.values())  # distinct as sets
+                from_tuples = Hypergraph(k, n, tuple(rows))
+                from_array = Hypergraph(k, n, np.array(rows, dtype=dtype).reshape(len(rows), k))
+                assert from_array == from_tuples
+                assert hash(from_array) == hash(from_tuples)
+                assert repr(from_array) == repr(from_tuples)
+                assert all(type(v) is int for e in from_array.edges for v in e)
+                np.testing.assert_array_equal(from_array.edge_array, from_tuples.edge_array)
+                assert from_array.edge_array.dtype == np.intp
+
+    def test_edge_array_is_canonical_and_read_only(self):
+        h = Hypergraph(3, 5, np.array([[4, 2, 0], [3, 1, 0]]))
+        assert h.edges == ((0, 1, 3), (0, 2, 4))
+        assert h.edge_array.tolist() == [[0, 1, 3], [0, 2, 4]]
+        with pytest.raises(ValueError):
+            h.edge_array[0, 0] = 1
+        with pytest.raises(ValueError):
+            Hypergraph(3, 5, ((0, 1, 2),)).edge_array[0, 0] = 1
+
+    def test_no_edges(self):
+        h = Hypergraph(4, 1, np.empty((0, 4), dtype=np.int64))
+        assert h == Hypergraph(4, 1) and h.edge_array.shape == (0, 4)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 1, 2], [2, 1, 0]],
+            [[0, 1, 1]],
+            [[0, 1, 5]],
+            [[-1, 0, 1]],
+            [[0, 1, 2], [1, 2, 3], [0, 5, 5]],
+            [[0, 1, 2], [1, 2, 3], [3, 2, 1], [0, 1, 9]],
+            [[0, 1, 9], [0, 1, 2], [2, 1, 0]],
+        ],
+    )
+    def test_refusals_read_as_for_tuples(self, rows):
+        with pytest.raises(ValueError) as from_tuples:
+            Hypergraph(3, 5, tuple(map(tuple, rows)))
+        with pytest.raises(ValueError, match="^" + re.escape(str(from_tuples.value)) + "$"):
+            Hypergraph(3, 5, np.array(rows))
+
+    def test_out_of_range_unsigned_values_refused(self):
+        with pytest.raises(ValueError, match="out of range"):
+            Hypergraph(2, 3, np.array([[0, 2**64 - 1]], dtype=np.uint64))
+
+    @pytest.mark.parametrize(
+        "rows", [np.zeros((2, 2), dtype=np.int64), np.zeros(3, dtype=np.int64), np.zeros((1, 3))]
+    )
+    def test_wrong_shape_or_dtype_refused(self, rows):
+        with pytest.raises(ValueError, match="edge array"):
+            Hypergraph(3, 5, rows)
 
 
 class TestDegree:

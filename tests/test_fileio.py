@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,8 @@ from hypergraph_spectra import (
     serialize_hypergraph,
 )
 from hypergraph_spectra.fileio import MAX_VERTICES
+
+from helpers import line_reader
 
 
 class TestGraphRoundTrip:
@@ -142,3 +145,131 @@ def test_graph_round_trip(spec, data):
     text = serialize_graph(g)
     assert parse_graph(text) == g
     assert parse_graph(reshuffled(text, data)) == g
+
+
+# ------------------------------------------------- array reader vs line reader
+
+READERS = {"graph": parse_graph, "hypergraph": parse_hypergraph}
+
+
+def outcome(read, text: str):
+    """The graph read, or the text of the ParseError raised."""
+    try:
+        return read(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def assert_readers_agree(magic: str, text: str) -> None:
+    got = outcome(READERS[magic], text)
+    assert got == outcome(lambda t: line_reader(t, magic), text)
+    if isinstance(got, Hypergraph):
+        np.testing.assert_array_equal(got.edge_array, np.array(got.edges).reshape(got.m, got.k))
+
+
+NOT_INTEGERS = ("x", "1.5", "0x1", "1e3", "+", "-", "_1", "1_", "1__0", "+-1", "+_1", "1-", "#1")
+SEPARATORS = (" ", "  ", "\t", " \t")
+LINE_ENDS = ("\n", "\r\n", "\r", "\v", "\f")
+
+
+@st.composite
+def edited_files(draw, magic: str) -> str:
+    """A valid file, at most one edit that may break a rule, and random
+    spacing, line endings, comments and blank lines."""
+    k = 2 if magic == "graph" else draw(st.integers(2, 5))
+    n = draw(st.integers(k, k + 5))
+    edge = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
+    edges = draw(st.lists(edge, max_size=8, unique_by=lambda e: tuple(sorted(e))))
+    header = [magic, k, n, len(edges)] if magic == "hypergraph" else [magic, n, len(edges)]
+    lines = [[str(x) for x in header]] + [[str(v) for v in e] for e in edges]
+    edit = draw(
+        st.sampled_from(
+            ("none", "drop", "add", "word", "plus", "minus", "range", "huge", "zeros",
+             "underscore", "repeat", "duplicate", "extra", "missing", "header", "break")
+        )
+    )
+    recount = draw(st.booleans())  # keep the header's edge count right after adding or removing a line
+    row = draw(st.integers(1, max(1, len(lines) - 1)))
+    if edit == "header":
+        col = draw(st.integers(1, len(header) - 1))
+        lines[0][col] = str(draw(st.integers(-1, 12)))
+    elif edit == "extra":
+        lines.insert(row, [str(draw(st.integers(0, n - 1))) for _ in range(k)])
+    elif edit == "duplicate" and len(lines) > 1:
+        lines.insert(draw(st.integers(row + 1, len(lines))), draw(st.permutations(lines[row])))
+    elif edit == "missing" and len(lines) > 1:
+        del lines[row]
+    elif len(lines) > 1:
+        line = lines[row]
+        col = draw(st.integers(0, len(line) - 1))
+        if edit == "drop":
+            del line[col]
+        elif edit == "add":
+            line.insert(col, str(draw(st.integers(0, n + 1))))
+        elif edit == "word":
+            line[col] = draw(st.sampled_from(NOT_INTEGERS))
+        elif edit == "plus":
+            line[col] = "+" + line[col]
+        elif edit == "minus":
+            line[col] = "-1"
+        elif edit == "range":
+            line[col] = str(n + draw(st.integers(0, 3)))
+        elif edit == "huge":
+            line[col] = draw(st.sampled_from(("99999999999", "-1234567890123", "1" * 30)))
+        elif edit == "zeros":
+            line[col] = "0" * draw(st.integers(1, 12)) + line[col]
+        elif edit == "underscore":
+            line[col] = "0_" + line[col]
+        elif edit == "repeat":
+            line[col] = line[(col + 1) % len(line)]
+    if edit in ("extra", "duplicate", "missing") and recount:
+        lines[0][-1] = str(len(lines) - 1)
+    if edit == "break":  # a vertical tab or form feed between two numbers splits their line
+        line = lines[draw(st.integers(0, len(lines) - 1))]
+        col = draw(st.integers(1, len(line)))
+        line.insert(col, draw(st.sampled_from(("\v", "\f"))))
+    text = ""
+    for line in lines:
+        for _ in range(draw(st.integers(0, 1))):
+            text += draw(st.sampled_from(("", "  ", "# comment", "\t# 1 2 3"))) + draw(st.sampled_from(LINE_ENDS))
+        sep = draw(st.sampled_from(SEPARATORS))
+        text += draw(st.sampled_from(("", " ", "\t"))) + sep.join(line).replace(f"{sep}\v{sep}", "\v").replace(f"{sep}\f{sep}", "\f")
+        text += draw(st.sampled_from(("", " ", " # trailing", "#0 1")))
+        text += draw(st.sampled_from(LINE_ENDS))
+    if draw(st.booleans()):
+        text = text.rstrip("\n\r\v\f")
+    return text
+
+
+@pytest.mark.parametrize("magic", sorted(READERS))
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_array_reader_matches_line_reader(magic, data):
+    assert_readers_agree(magic, data.draw(edited_files(magic)))
+
+
+@pytest.mark.parametrize("magic, header", [("graph", "graph 6 3"), ("hypergraph", "hypergraph 3 6 2")])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(body=st.text(alphabet="0123456789012345 +-_#x\t\n\r\v\f\x1c\x1f\xa0\x85\u2028\u0663\uff11\xe9"))
+def test_array_reader_matches_line_reader_on_any_text(magic, header, body):
+    assert_readers_agree(magic, f"{header}\n{body}")
+    assert_readers_agree(magic, body)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "hypergraph 3 4 1\n\u0663 0 1\n",  # Arabic-Indic three
+        "hypergraph 3 4 1  # caf\xe9\n0\xa01\u20032\n",
+        "hypergraph 3 4 2\u20280 1 2\x851 2 3",
+        "hypergraph 3 4 1\n0 1 \xe9\n",
+        "hypergraph 3 4 1\n0 1 " + "0" * 5000 + "2\n",  # past int()'s digit limit
+        "hypergraph 3 4 1\n0 1 0000000000000000002\n",
+        "hypergraph 3 4 1\n0 1 2_0\n",
+        "hypergraph 3 4 1\n0 1 -0\n",
+        "hypergraph 3 1000000000000 1\n",
+        "# only a comment\n\n",
+    ],
+)
+def test_array_reader_matches_line_reader_on_odd_text(text):
+    assert_readers_agree("hypergraph", text)

@@ -23,6 +23,7 @@ from hypergraph_spectra import (
     degree,
     generalized_power,
     half_edge_constancy,
+    is_connected,
     lift_vector,
     path_graph,
     power_iteration_rho,
@@ -253,6 +254,51 @@ class TestIrreducibilityMatchesTarjan:
         assert _tarjan_scc(cooccurrence_arcs(h)) == 1
         assert weakly_irreducible(AdjacencyTensor(h))
         assert weakly_irreducible(SignlessLaplacianTensor(h))
+
+    def test_array_built_hypergraphs(self):
+        # The labelling runs on the edge array; Tarjan and the BFS of
+        # is_connected are its oracles.
+        rng = random.Random(41)
+        verdicts = set()
+        for k in (2, 3, 4, 6):
+            for _ in range(60):
+                n = rng.randrange(1, 40)
+                h = random_hypergraph(rng, k, n, rng.randrange(0, 2 * n)) if n >= k else Hypergraph(k, n)
+                perm = rng.sample(range(n), n)  # relabel, so low labels are not always hubs
+                rows = np.array([[perm[v] for v in e] for e in h.edges], dtype=np.int64).reshape(h.m, k)
+                h = Hypergraph(k, n, rows)
+                expected = _tarjan_scc(cooccurrence_arcs(h)) == 1
+                assert is_connected(h) == expected
+                assert weakly_irreducible(AdjacencyTensor(h)) == expected
+                assert weakly_irreducible(SignlessLaplacianTensor(h)) == expected
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize(
+        "k, n, rows, expected",
+        [
+            (3, 1, [], True),
+            (3, 2, [], False),
+            (3, 3, [], False),
+            (3, 3, [[2, 0, 1]], True),
+            (3, 5, [[0, 1, 2]], False),  # two isolated vertices
+            (3, 5, [[3, 4, 2]], False),  # vertex 0 isolated
+            (2, 6, [[5, 4], [4, 3], [3, 2], [2, 1], [1, 0]], True),  # path, labels descending
+            (2, 6, [[0, 1], [2, 3], [4, 5], [1, 2]], False),
+        ],
+    )
+    def test_array_built_small_cases(self, k, n, rows, expected):
+        h = Hypergraph(k, n, np.array(rows, dtype=np.int64).reshape(len(rows), k))
+        assert (_tarjan_scc(cooccurrence_arcs(h)) == 1) == expected
+        assert weakly_irreducible(AdjacencyTensor(h)) == expected
+        assert weakly_irreducible(SignlessLaplacianTensor(h)) == expected
+
+    def test_long_path_with_adversarial_labels(self):
+        # Labels alternate low and high along a path of 2000 vertices.
+        order = [v for pair in zip(range(1000), range(1999, 999, -1)) for v in pair]
+        rows = np.array(list(zip(order, order[1:])), dtype=np.int64)
+        assert weakly_irreducible(AdjacencyTensor(Hypergraph(2, 2000, rows)))
+        assert not weakly_irreducible(AdjacencyTensor(Hypergraph(2, 2000, rows[:-1])))
 
 
 class TestWeakIrreducibility:
