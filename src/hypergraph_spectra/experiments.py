@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .constructions import cycle_plus_pendant, generalized_power
-from .core import SimpleGraph
+from .core import SimpleGraph, check_solver_controls
 from .enumeration import enumerate_connected_graphs, enumerate_connected_nonbipartite
 from .matrixspec import (
     pendant_cycle_rho_sequence,
@@ -95,6 +95,20 @@ class ExperimentReport:
         return buf.getvalue()
 
 
+def _degree_bound(operator: str, g: SimpleGraph) -> float:
+    """A lower bound on the radius from the degrees of g: rho(A) is at
+    least the average degree 2m/n (the Rayleigh quotient at the all-ones
+    vector) and sqrt(max degree) (the largest star); rho(D + A) is at least
+    4m/n and max degree + 1."""
+    deg = [0] * g.n
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    if operator == "adjacency":
+        return max(2 * g.m / g.n, math.sqrt(max(deg)))
+    return max(4 * g.m / g.n, max(deg) + 1.0)
+
+
 def min_rho_search(
     n: int,
     operator: str = "adjacency",
@@ -104,19 +118,39 @@ def min_rho_search(
 ) -> tuple[float, list[SimpleGraph]]:
     """Minimum spectral radius over connected non-bipartite graphs on n
     vertices, with every minimizer (ties within 10*tol) as a canonical
-    representative. Supported for 4 <= n <= 7, n = 8 behind big=True."""
+    representative, in code order. Supported for 4 <= n <= 7, n = 8 behind
+    big=True.
+
+    Classes are solved in increasing order of their degree bound L (ties in
+    code order), and the search stops at the first class with
+    L - tol*(L + 2) > best + 10*tol, best the smallest radius solved so far.
+    The answer is that of solving every class: a solved radius is the
+    midpoint of a shifted Collatz-Wielandt bracket [lower, upper] with
+    upper >= rho + 1 and lower >= (1 - tol)*upper, so it is at least
+    rho - tol*(rho + 1)/2, and for a class with rho >= L at least
+    L - tol*(L + 1)/2. Every class left unsolved would therefore have
+    computed a radius above best + 10*tol: it could neither tie nor win,
+    whatever the final best. The margin left over, tol*(L + 3)/2, exceeds
+    the rounding of the bracket.
+    """
     if not 4 <= n <= 8:
         raise ValueError("n out of supported range: need 4 <= n <= 8")
     if operator not in MATRIX_RHO:
         raise ValueError(f"unknown operator {operator!r}")
+    check_solver_controls(tol, max_iter)
     rho_fn = MATRIX_RHO[operator]
-    entries: list[tuple[float, SimpleGraph]] = []
+    graphs = list(enumerate_connected_nonbipartite(n, big=big))
+    bounds = [_degree_bound(operator, g) for g in graphs]
+    solved: list[tuple[int, float]] = []
     best = math.inf
-    for g in enumerate_connected_nonbipartite(n, big=big):
-        rho, _ = rho_fn(g, tol=tol, max_iter=max_iter)
-        entries.append((rho, g))
+    for i in sorted(range(len(graphs)), key=lambda i: (bounds[i], i)):
+        low = bounds[i]
+        if low - tol * (low + 2.0) > best + 10.0 * tol:
+            break
+        rho, _ = rho_fn(graphs[i], tol=tol, max_iter=max_iter)
+        solved.append((i, rho))
         best = min(best, rho)
-    argmin = [g for rho, g in entries if rho - best <= 10.0 * tol]
+    argmin = [graphs[i] for i, rho in sorted(solved) if rho - best <= 10.0 * tol]
     return best, argmin
 
 

@@ -160,9 +160,11 @@ def _read(text: str, magic: str, header_arity: int) -> tuple[_Tokens, int, list[
     return toks, body, header
 
 
-def _edge_block(toks: _Tokens, body: int, arity: int, n: int, m: int) -> np.ndarray:
-    """The canonical (m, arity) edge array of the lines after the header;
-    the first line that breaks a rule raises ParseError."""
+def _edge_block(toks: _Tokens, body: int, arity: int, n: int, m: int, build):
+    """build(rows) for the (m, arity) edge array of the lines after the
+    header, in file order. When the lines are malformed, or build refuses
+    the rows with ValueError, the first line that breaks a rule raises
+    ParseError."""
     lines = toks.lines[body:]
     first = np.ones(len(lines), dtype=bool)
     first[1:] = lines[1:] != lines[:-1]
@@ -174,9 +176,12 @@ def _edge_block(toks: _Tokens, body: int, arity: int, n: int, m: int) -> np.ndar
     # Lines before the first malformed one hold `arity` integers each.
     cut = min(int(malformed.argmax()) if malformed.any() else len(heads), m)
     rows = toks.values[body : body + cut * arity].reshape(cut, arity)
-    canon, i = canonical_edges(rows, n)
-    if canon is not None and cut == len(heads) == m:
-        return canon
+    if cut == len(heads) == m:
+        try:
+            return build(rows)
+        except ValueError:
+            pass  # refused: find the line below
+    _, i = canonical_edges(rows, n)
     if i is None:
         i = cut
         if i == len(heads):
@@ -204,7 +209,9 @@ def parse_graph(text: str) -> SimpleGraph:
     toks, body, (n, m) = _read(text, "graph", 2)
     if n < 1 or m < 0:
         raise ParseError("line 1: header values out of range")
-    return SimpleGraph(n, tuple(map(tuple, _edge_block(toks, body, 2, n, m).tolist())))
+    return _edge_block(
+        toks, body, 2, n, m, lambda rows: SimpleGraph(n, tuple(map(tuple, rows.tolist())))
+    )
 
 
 def serialize_graph(g: SimpleGraph) -> str:
@@ -218,7 +225,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
     toks, body, (k, n, m) = _read(text, "hypergraph", 3)
     if k < 2 or n < 1 or m < 0:
         raise ParseError("line 1: header values out of range")
-    return Hypergraph(k, n, _edge_block(toks, body, k, n, m))
+    return _edge_block(toks, body, k, n, m, lambda rows: Hypergraph(k, n, rows))
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:

@@ -126,6 +126,10 @@ class AdjacencyTensor(ImplicitTensor):
         # array on every call.
         self._edges = h.edge_array.copy()
         self._deg = np.bincount(self._edges.ravel(), minlength=h.n).astype(float)
+        if not h.m:
+            # No buffers and no views: there are 2(k-1) of them whatever m
+            # is, and an edgeless header may declare any k.
+            return
         # apply's buffers: x gathered per slot, and the products of the
         # slots to the left and to the right of each.
         self._gathered = np.empty(self._edges.shape)
@@ -148,16 +152,16 @@ class AdjacencyTensor(ImplicitTensor):
 
     def apply(self, x) -> np.ndarray:
         x = self._check_vector(x)
+        if not self.hypergraph.m:
+            return np.zeros(self.dim)
         # Every index is a vertex, so "clip" changes nothing; it only spares
         # the buffered copy that the default bounds check makes of out.
         np.take(x, self._edges, out=self._gathered, mode="clip")
         for a, b, out in self._products:
             np.multiply(a, b, out=out)
         np.multiply(self._left, self._right, out=self._gathered)
-        # bincount adds in the same order as np.add.at, at a fraction of the cost;
-        # with no edges it returns integers, hence the cast.
-        out = np.bincount(self._edges.ravel(), weights=self._gathered.ravel(), minlength=self.dim)
-        return out.astype(float, copy=False)
+        # bincount adds in the same order as np.add.at, at a fraction of the cost.
+        return np.bincount(self._edges.ravel(), weights=self._gathered.ravel(), minlength=self.dim)
 
     def row_sums(self) -> np.ndarray:
         # Each incident edge contributes (k-1)! entries of 1/(k-1)!.

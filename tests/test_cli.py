@@ -254,6 +254,25 @@ class TestHostileControls:
         assert len(captured.err.splitlines()) == 1
         assert "limit" in captured.err
 
+    @pytest.mark.parametrize("operator", ["adjacency", "signless-laplacian"])
+    @pytest.mark.parametrize("command, status", [("rho", 2), ("bounds", 0)])
+    def test_edgeless_header_with_huge_k_answers_at_once(
+        self, tmp_path, capsys, operator, command, status
+    ):
+        path = tmp_path / "edgeless.txt"
+        path.write_text("hypergraph 1000000000000 5 0\n")
+        start = time.perf_counter()
+        assert run_cli([command, "--operator", operator, "--in", str(path)]) == status
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        if status:
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith("error: ")
+        else:
+            assert captured.out == "min_row_sum = 0\nmax_row_sum = 0\n"
+            assert captured.err == ""
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -141,6 +141,16 @@ def test_every_connected_graph_has_its_class_enumerated(g):
     assert canonical_code(g.n, graph_code(g)) in _connected_class_codes(g.n)
 
 
+# Connected unicyclic graphs (m = n) on n vertices: OEIS A001429.
+UNICYCLIC_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89}
+
+
+@pytest.mark.parametrize("n", sorted(UNICYCLIC_COUNTS))
+def test_unicyclic_class_counts(n):
+    codes = _connected_class_codes(n)
+    assert sum(code.bit_count() == n for code in codes) == UNICYCLIC_COUNTS[n]
+
+
 class TestEightVertices:
     def test_class_and_bipartite_counts(self):
         graphs = enumerate_connected_graphs(8, big=True)

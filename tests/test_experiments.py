@@ -10,6 +10,8 @@ from hypergraph_spectra import (
     convergence_report,
     cycle_graph,
     cycle_plus_pendant,
+    enumerate_connected_nonbipartite,
+    experiments,
     min_rho_search,
     tau_threshold,
     verify_theorem_nob,
@@ -51,15 +53,64 @@ class TestMinRhoSearch:
             min_rho_search(9)
         with pytest.raises(ValueError):
             min_rho_search(5, operator="laplacian")
+        with pytest.raises(ValueError):
+            min_rho_search(5, tol=float("nan"))
+        with pytest.raises(ValueError):
+            min_rho_search(5, max_iter=0)
+
+
+ORACLES = [("adjacency", eig_rho_adjacency), ("signless-laplacian", eig_rho_signless)]
+
+
+class TestPrunedSearchMatchesFullScan:
+    """min_rho_search solves only the classes its degree bounds cannot
+    exclude; a full eigvalsh scan over every class is the oracle."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    @pytest.mark.parametrize("operator, oracle", ORACLES)
+    def test_minimum_and_minimisers(self, monkeypatch, n, operator, oracle):
+        tol = 1e-10
+        solved = []
+        rho_fn = experiments.MATRIX_RHO[operator]
+
+        def recording(g, **kwargs):
+            solved.append(g)
+            return rho_fn(g, **kwargs)
+
+        monkeypatch.setitem(experiments.MATRIX_RHO, operator, recording)
+        best, argmin = min_rho_search(n, operator=operator, tol=tol)
+        graphs = list(enumerate_connected_nonbipartite(n))
+        radii = [oracle(g) for g in graphs]
+        low = min(radii)
+        assert abs(best - low) <= 1e-9
+        assert argmin == [g for g, rho in zip(graphs, radii) if rho - low <= 10 * tol]
+        excluded = [rho for g, rho in zip(graphs, radii) if g not in solved]
+        assert all(rho > best + 10 * tol for rho in excluded)
+        assert len(solved) + len(excluded) == len(graphs)
+        if n == 7:
+            assert len(graphs) == 809
+            assert len(solved) == {"adjacency": 20, "signless-laplacian": 11}[operator]
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("tol", [1e-10, 0.05, 0.2, 0.99])
+    @pytest.mark.parametrize("operator", ["adjacency", "signless-laplacian"])
+    def test_bit_identical_to_solving_every_class(self, n, tol, operator):
+        # Loose tolerances widen the tie window until many classes tie, so
+        # the minimisers must also come back in code order.
+        radii = [
+            experiments.MATRIX_RHO[operator](g, tol=tol)[0]
+            for g in enumerate_connected_nonbipartite(n)
+        ]
+        best = min(radii)
+        graphs = enumerate_connected_nonbipartite(n)
+        expected = [g for g, rho in zip(graphs, radii) if rho - best <= 10 * tol]
+        assert min_rho_search(n, operator=operator, tol=tol) == (best, expected)
 
 
 class TestEightVertices:
     """Criteria 07 and 02 on all 11117 connected classes of order 8."""
 
-    @pytest.mark.parametrize(
-        "operator, oracle",
-        [("adjacency", eig_rho_adjacency), ("signless-laplacian", eig_rho_signless)],
-    )
+    @pytest.mark.parametrize("operator, oracle", ORACLES)
     def test_pendant_heptagon_is_the_unique_minimiser(self, operator, oracle):
         best, argmin = min_rho_search(8, operator=operator, tol=1e-9, big=True)
         assert argmin == [canonical_form(cycle_plus_pendant(8))]
