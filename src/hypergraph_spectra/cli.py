@@ -22,6 +22,7 @@ does not converge), 2 on usage or input errors. Every failure prints one
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -56,6 +57,7 @@ __all__ = ["run_cli", "main"]
 _TENSORS = {"adjacency": AdjacencyTensor, "signless-laplacian": SignlessLaplacianTensor}
 
 
+@functools.cache  # built once per process: in-process callers run many jobs
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-10, help="bracket tolerance")

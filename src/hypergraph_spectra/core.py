@@ -24,6 +24,14 @@ __all__ = [
 ]
 
 
+class _RefusedEdge(ValueError):
+    """ValueError for the edge at index `row` of the edges given."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
     """Undirected simple graph on vertices 0..n-1."""
@@ -36,18 +44,18 @@ class SimpleGraph:
             raise ValueError("graph needs at least one vertex")
         seen: set[tuple[int, int]] = set()
         canon = []
-        for e in self.edges:
+        for row, e in enumerate(self.edges):
             if len(e) != 2:
-                raise ValueError(f"edge {e!r} is not a pair")
+                raise _RefusedEdge(f"edge {e!r} is not a pair", row)
             u, v = e
             if u == v:
-                raise ValueError(f"loop at vertex {u}")
+                raise _RefusedEdge(f"loop at vertex {u}", row)
             if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge {e!r} out of range for n={self.n}")
+                raise _RefusedEdge(f"edge {e!r} out of range for n={self.n}", row)
             if u > v:
                 u, v = v, u
             if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
+                raise _RefusedEdge(f"duplicate edge ({u}, {v})", row)
             seen.add((u, v))
             canon.append((u, v))
         object.__setattr__(self, "edges", tuple(sorted(canon)))
@@ -123,28 +131,34 @@ class Hypergraph:
                 raise ValueError(
                     f"edge array must be (m, {self.k}) integers, got {rows.shape} {rows.dtype}"
                 )
-            canon, _ = canonical_edges(rows, self.n)
-            if canon is not None:
-                canon.flags.writeable = False
-                self.__dict__["edge_array"] = canon  # where cached_property keeps it
-                # Zipped columns build the tuples about twice as fast as rows.
-                object.__setattr__(self, "edges", tuple(zip(*canon.T.tolist())) if len(canon) else ())
-                return
-            # Refused: the loop below names the first bad row in its own words.
-            object.__setattr__(self, "edges", tuple(map(tuple, rows.tolist())))
+            canon, row = canonical_edges(rows, self.n)
+            if canon is None:
+                raise _RefusedEdge(self._refusal(tuple(rows[row].tolist())), row)
+            canon.flags.writeable = False
+            self.__dict__["edge_array"] = canon  # where cached_property keeps it
+            # Zipped columns build the tuples about twice as fast as rows.
+            object.__setattr__(self, "edges", tuple(zip(*canon.T.tolist())) if len(canon) else ())
+            return
         seen: set[tuple[int, ...]] = set()
         canon = []
-        for e in self.edges:
+        for row, e in enumerate(self.edges):
             se = tuple(sorted(e))
-            if len(se) != self.k or len(set(se)) != self.k:
-                raise ValueError(f"edge {e!r} is not a set of {self.k} distinct vertices")
-            if se[0] < 0 or se[-1] >= self.n:
-                raise ValueError(f"edge {e!r} out of range for n={self.n}")
-            if se in seen:
-                raise ValueError(f"duplicate edge {se}")
+            distinct = len(se) == self.k == len(set(se))
+            if not (distinct and 0 <= se[0] and se[-1] < self.n) or se in seen:
+                raise _RefusedEdge(self._refusal(e), row)
             seen.add(se)
             canon.append(se)
         object.__setattr__(self, "edges", tuple(sorted(canon)))
+
+    def _refusal(self, e: tuple) -> str:
+        """Why e is refused, given that it is: not a k-set of distinct
+        vertices, out of range, or else the repeat of an earlier edge."""
+        se = tuple(sorted(e))
+        if len(se) != self.k or len(set(se)) != self.k:
+            return f"edge {e!r} is not a set of {self.k} distinct vertices"
+        if se[0] < 0 or se[-1] >= self.n:
+            return f"edge {e!r} out of range for n={self.n}"
+        return f"duplicate edge {se}"
 
     @property
     def m(self) -> int:

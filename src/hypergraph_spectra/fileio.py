@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Hypergraph, SimpleGraph, canonical_edges
+from .core import Hypergraph, SimpleGraph, _RefusedEdge, canonical_edges
 
 __all__ = [
     "MAX_VERTICES",
@@ -163,8 +163,7 @@ def _read(text: str, magic: str, header_arity: int) -> tuple[_Tokens, int, list[
 def _edge_block(toks: _Tokens, body: int, arity: int, n: int, m: int, build):
     """build(rows) for the (m, arity) edge array of the lines after the
     header, in file order. When the lines are malformed, or build refuses
-    the rows with ValueError, the first line that breaks a rule raises
-    ParseError."""
+    a row, the first line that breaks a rule raises ParseError."""
     lines = toks.lines[body:]
     first = np.ones(len(lines), dtype=bool)
     first[1:] = lines[1:] != lines[:-1]
@@ -179,13 +178,14 @@ def _edge_block(toks: _Tokens, body: int, arity: int, n: int, m: int, build):
     if cut == len(heads) == m:
         try:
             return build(rows)
-        except ValueError:
-            pass  # refused: find the line below
-    _, i = canonical_edges(rows, n)
-    if i is None:
-        i = cut
-        if i == len(heads):
-            raise ParseError(f"expected {m} edge lines, got {len(heads)}")
+        except _RefusedEdge as exc:
+            i = exc.row
+    else:
+        _, i = canonical_edges(rows, n)
+        if i is None:
+            i = cut
+            if i == len(heads):
+                raise ParseError(f"expected {m} edge lines, got {len(heads)}")
     at = f"line {lines[heads[i]]}"
     if i == m:
         raise ParseError(f"{at}: more than {m} edge lines")

@@ -21,9 +21,13 @@ quadratically near the radius and, up to rounding, never raises the upper
 bound. Newton-Noda steps start once the power steps taken, or those still
 needed by the bracket's contraction, would cost more than the about ten
 Newton-Noda steps (four for k = 2) that finish; so inputs with a clear
-spectral gap, and all inputs above dimension 2048, stay on power steps. A
-step whose solve fails or whose solution is not strictly positive is a
-power step too. The reported bracket is that of the final positive vector,
+spectral gap stay on power steps. A step whose solve fails or whose
+solution is not strictly positive is a power step too. Above dimension
+2048 there are no Newton-Noda steps; instead each power step is mixed with
+the last five by type-II Anderson acceleration (Walker and Ni, SIAM J.
+Numer. Anal. 49, 2011). A mix is used only when it is strictly positive,
+and one that widens the bracket is replaced by the power step it
+displaced. The reported bracket is that of the final positive vector,
 however it was found.
 """
 
@@ -78,6 +82,11 @@ _NODA_STEPS = 4
 _POWER_STEP_SLOTS = 1500
 _NEWTON_STEP_SLOTS = 3000
 _SOLVE_SLOTS_PER_CUBE = 1 / 700
+
+# Above _NEWTON_MAX_DIM: power steps are mixed over this many past steps,
+# the Gram matrix's diagonal raised by this fraction of itself.
+_ANDERSON_DEPTH = 5
+_ANDERSON_RIDGE = 1e-12
 
 
 class ImplicitTensor:
@@ -342,6 +351,59 @@ def _newton_noda_step(jac: np.ndarray, k: int, x: np.ndarray, lam: float) -> np.
     return x / x.max()
 
 
+class _AndersonMixer:
+    """Type-II Anderson mixing of the power step (Walker and Ni, SIAM J.
+    Numer. Anal. 49, 2011), for the loop above _NEWTON_MAX_DIM.
+
+    Keeps the last _ANDERSON_DEPTH differences dG of the power steps g and
+    dF of their residuals f = g - x, with the Gram matrix of dF updated one
+    row per step. Once the history is full it proposes g - dG gamma, gamma
+    the lightly regularised least squares solution of dF gamma = f. A
+    proposal that is not finite and strictly positive, or a failed solve,
+    clears the history and leaves g; the history then refills over plain
+    power steps.
+    """
+
+    def __init__(self, n: int):
+        self._dg = np.empty((_ANDERSON_DEPTH, n))
+        self._df = np.empty((_ANDERSON_DEPTH, n))
+        self._gram = np.empty((_ANDERSON_DEPTH, _ANDERSON_DEPTH))
+        # Multiplies the Gram matrix into its ridge-regularised form.
+        self._ridge = np.eye(_ANDERSON_DEPTH) * _ANDERSON_RIDGE + 1.0
+        self._last: tuple[np.ndarray, np.ndarray] | None = None
+        self._count = 0  # differences recorded since the history was cleared
+
+    def clear(self) -> None:
+        self._count = 0
+
+    def propose(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The next iterate after x, whose power step is g: g itself, or a
+        mix of the history that is strictly positive with max entry 1."""
+        f = g - x
+        if self._last is not None:
+            i = self._count % _ANDERSON_DEPTH
+            np.subtract(g, self._last[0], out=self._dg[i])
+            np.subtract(f, self._last[1], out=self._df[i])
+            self._count += 1
+            kept = min(self._count, _ANDERSON_DEPTH)
+            self._gram[i, :kept] = self._gram[:kept, i] = self._df[:kept] @ self._df[i]
+        self._last = g, f
+        if self._count < _ANDERSON_DEPTH:
+            return g
+        try:
+            gamma = np.linalg.solve(self._gram * self._ridge, self._df @ f)
+        except np.linalg.LinAlgError:
+            self.clear()
+            return g
+        mixed = g - gamma @ self._dg
+        top = mixed.max()
+        if mixed.min() > 0 and top < math.inf:  # both false for NaN
+            mixed /= top
+            return mixed
+        self.clear()
+        return g
+
+
 def _bracketed_iteration(apply, jacobian, k: int, n: int, slots: int, tol: float, max_iter: int):
     """The loop behind power_iteration_rho and the matrix radii.
 
@@ -351,6 +413,8 @@ def _bracketed_iteration(apply, jacobian, k: int, n: int, slots: int, tol: float
     shifted by 1.
     """
     newton_ready = n <= _NEWTON_MAX_DIM
+    mixer = None if newton_ready else _AndersonMixer(n)
+    plain = None  # the power step an Anderson proposal x replaced
     newton = False
     x = np.ones(n)
     lower = upper = width = math.inf
@@ -363,16 +427,24 @@ def _bracketed_iteration(apply, jacobian, k: int, n: int, slots: int, tol: float
         upper = float(s.max())
         if upper - lower <= tol * upper:
             return x, iterations, lower, upper, True
+        if plain is not None and upper - lower > width:
+            # The proposal widened the bracket: back to the power step.
+            x, plain = plain, None
+            mixer.clear()
+            continue
         if newton_ready and not newton and width < math.inf:
             reduction = tol * upper / (upper - lower)
             newton = _newton_pays(k, n, slots, iterations - 1, (upper - lower) / width, reduction)
         width = upper - lower
         step = _newton_noda_step(jacobian(x), k, x, upper - 1.0) if newton else None
         if step is None:
-            x = y ** (1.0 / (k - 1))
-            x /= x.max()
-        else:
-            x = step
+            step = y ** (1.0 / (k - 1))
+            step /= step.max()
+            if mixer is not None:
+                plain, step = step, mixer.propose(x, step)
+                if step is plain:
+                    plain = None
+        x = step
     return x, iterations, lower, upper, False
 
 
@@ -392,9 +464,13 @@ def power_iteration_rho(
     than the Newton-Noda steps that finish (about ten, four for k = 2);
     from then on, by Newton-Noda steps. Only tensors of dimension at most
     2048 take them, and a Newton-Noda step whose linear solve fails or whose
-    result is not strictly positive is replaced by the power step. Either
-    way x stays positive with max entry 1, so the final bracket is a
-    Collatz-Wielandt bracket however x was found.
+    result is not strictly positive is replaced by the power step. Above
+    that dimension each power step is Anderson-mixed with the last five; a
+    mix that is not strictly positive, or whose bracket turns out wider
+    than the one before, gives way to the plain power step, and mixing
+    pauses until five new power steps are recorded. Either way x stays
+    positive with max entry 1, so the final bracket is a Collatz-Wielandt
+    bracket however x was found.
     """
     check_solver_controls(tol, max_iter)
     if not weakly_irreducible(t):

@@ -327,6 +327,22 @@ class TestUsage:
         assert run_cli(["spath", "--k", "4", "--s", "2", "--d", "1", "--out", out]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_back_to_back_calls_share_no_state(self, capsys):
+        # The parser is built once per process; each call still starts from
+        # the defaults, after a repeatable option or an error exit.
+        assert run_cli(["verify-nob", "--n-max", "3", "--k", "4"]) == 0
+        assert "k=[4]" in capsys.readouterr().out
+        assert run_cli(["verify-nob", "--n-max", "3"]) == 0
+        assert "k=[4, 6]" in capsys.readouterr().out
+        assert run_cli(["verify-nob", "--n-max", "3", "--k", "4", "--k", "6", "--k", "5"]) == 2
+        assert run_cli(["verify-nob", "--n-max", "3", "--bogus"]) == 2
+        assert run_cli(["spath", "--k", "4", "--s", "2"]) == 2
+        capsys.readouterr()
+        assert run_cli(["verify-nob", "--n-max", "3"]) == 0
+        assert "k=[4, 6]" in capsys.readouterr().out
+        assert run_cli(["spath", "--k", "4", "--s", "2", "--d", "1"]) == 0
+        assert capsys.readouterr().out == "hypergraph 4 4 1\n0 1 2 3\n"
+
     def test_module_entry_point(self):
         import subprocess
         import sys

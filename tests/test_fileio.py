@@ -94,6 +94,42 @@ class TestParseErrors:
             parse_graph("hypergraph 2 3 1\n0 1\n")
 
 
+class TestRefusedEdgeBlock:
+    """A refused edge block is validated once, and the row that validation
+    found names the line."""
+
+    @pytest.mark.parametrize(
+        "last, message",
+        [
+            ("0 1 2 3", "line 7: duplicate edge (0, 1, 2, 3)"),
+            ("4 4 5 6", "line 7: repeated vertex in edge"),
+            ("4 5 6 99", "line 7: vertex 99 out of range for n=40"),
+        ],
+    )
+    def test_hypergraph_file(self, monkeypatch, last, message):
+        from hypergraph_spectra import core, fileio
+
+        calls = []
+
+        def counted(edges, n):
+            calls.append(len(edges))
+            return canonical(edges, n)
+
+        canonical = core.canonical_edges
+        monkeypatch.setattr(core, "canonical_edges", counted)
+        monkeypatch.setattr(fileio, "canonical_edges", counted)
+        body = ["3 2 1 0", "4 5 6 7", "8 9 10 11", "12 13 14 15", "16 17 18 19"]
+        text = "hypergraph 4 40 6\n" + "\n".join(body + [last]) + "\n"
+        with pytest.raises(ParseError) as info:
+            parse_hypergraph(text)
+        assert str(info.value) == message
+        assert calls == [6]
+
+    def test_graph_file(self):
+        with pytest.raises(ParseError, match="^line 4: duplicate edge \\(0, 1\\)$"):
+            parse_graph("graph 5 3\n0 1\n1 2\n1 0\n")
+
+
 class TestVertexLimit:
     @pytest.mark.parametrize(
         "parse, header",

@@ -38,7 +38,7 @@ from hypergraph_spectra import (
     txk,
     weakly_irreducible,
 )
-from hypergraph_spectra import tensors
+from hypergraph_spectra import matrixspec, tensors
 
 from helpers import (
     _tarjan_scc,
@@ -558,17 +558,18 @@ def pendant_lift(n: int) -> tuple[Hypergraph, SimpleGraph]:
     return generalized_power(g, 4, 2)[0], g
 
 
-def clear_gap_lift(base_n: int, seed: int) -> Hypergraph:
+def clear_gap_lift(base_n: int, seed: int) -> tuple[Hypergraph, SimpleGraph]:
     """k = 4 lift of a random connected base with 4 * base_n edges and one
     vertex of degree 40, whose spectral gap is wide: the power iteration
-    needs under 100 steps."""
+    needs under 100 steps. Returns the lift and its base."""
     rng = random.Random(seed)
     edges = {(rng.randrange(v), v) for v in range(1, base_n)}
     edges |= {(0, v) for v in range(1, 41)}
     while len(edges) < 4 * base_n:
         u, v = sorted(rng.sample(range(base_n), 2))
         edges.add((u, v))
-    return generalized_power(SimpleGraph(base_n, tuple(edges)), 4, 2)[0]
+    g = SimpleGraph(base_n, tuple(edges))
+    return generalized_power(g, 4, 2)[0], g
 
 
 class TestNewtonNoda:
@@ -624,7 +625,7 @@ class TestNewtonNoda:
 
     @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
     def test_clear_gap_input_keeps_power_steps(self, monkeypatch, cls):
-        t = cls(clear_gap_lift(256, 7))
+        t = cls(clear_gap_lift(256, 7)[0])
         monkeypatch.setattr(tensors, "_newton_noda_step", None)  # any call would fail
         res = power_iteration_rho(t, tol=1e-10)
         iterations, x, lower, upper = power_iteration_reference(t, 1e-10, 1_000_000)
@@ -663,31 +664,127 @@ class TestNewtonNoda:
         assert np.array_equal(res.eigenvector, x)
         assert (res.lower, res.upper) == (lower - 1.0, upper - 1.0)
 
-    @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
-    def test_power_steps_above_the_size_cap(self, monkeypatch, cls):
-        h, _ = pendant_lift(5)
-        t = cls(h)
-        monkeypatch.setattr(tensors, "_NEWTON_MAX_DIM", t.dim - 1)
-        res = power_iteration_rho(t, tol=1e-12)
-        iterations, x, lower, upper = power_iteration_reference(t, 1e-12, 1_000_000)
-        assert res.iterations == iterations > 100
-        assert np.array_equal(res.eigenvector, x)
-        assert (res.lower, res.upper) == (lower - 1.0, upper - 1.0)
+
+def contains(res_lower: float, res_upper: float, rho: float) -> bool:
+    """lower <= rho <= upper, up to a relative 1e-14 by which eigvalsh
+    itself may miss rho."""
+    slack = 1e-14 * rho
+    return res_lower - slack <= rho <= res_upper + slack
+
+
+class TestAndersonAboveTheSizeCap:
+    """Above _NEWTON_MAX_DIM the power steps are Anderson-mixed. Each test
+    lowers the cap below its input and makes any Newton-Noda step fail."""
+
+    @pytest.fixture(autouse=True)
+    def above_cap(self, monkeypatch):
+        monkeypatch.setattr(tensors, "_NEWTON_MAX_DIM", 1)
+        monkeypatch.setattr(tensors, "_newton_noda_step", None)  # any call would fail
 
     @pytest.mark.parametrize(
-        "rho_fn, build",
-        [(rho_adjacency_matrix, adjacency_matrix), (rho_signless_laplacian_matrix, signless_laplacian_matrix)],
+        "cls, oracle", [(AdjacencyTensor, eig_rho_adjacency), (SignlessLaplacianTensor, eig_rho_signless)]
     )
-    def test_matrix_power_steps_above_the_size_cap(self, monkeypatch, rho_fn, build):
+    def test_clear_gap_lift_takes_half_the_steps(self, cls, oracle):
+        h, g = clear_gap_lift(256, 7)
+        t = cls(h)
+        res = power_iteration_rho(t, tol=1e-10)
+        iterations = power_iteration_reference(t, 1e-10, 1_000_000)[0]
+        assert res.converged and res.iterations <= iterations / 2
+        assert contains(res.lower, res.upper, oracle(g))
+        assert np.all(res.eigenvector > 0) and res.eigenvector.max() == 1.0
+
+    @pytest.mark.parametrize("n", [5, 20, 50])
+    @pytest.mark.parametrize(
+        "cls, oracle", [(AdjacencyTensor, eig_rho_adjacency), (SignlessLaplacianTensor, eig_rho_signless)]
+    )
+    def test_tiny_gap_lift_is_not_much_slower(self, cls, oracle, n):
+        # The power iteration takes 388 to 2,665 steps on these.
+        h, g = pendant_lift(n)
+        t = cls(h)
+        res = power_iteration_rho(t, tol=1e-12)
+        iterations = power_iteration_reference(t, 1e-12, 1_000_000)[0]
+        assert res.converged and res.iterations <= 1.25 * iterations
+        assert contains(res.lower, res.upper, oracle(g))
+
+    @pytest.mark.parametrize(
+        "rho_fn, build, oracle",
+        [
+            (rho_adjacency_matrix, adjacency_matrix, eig_rho_adjacency),
+            (rho_signless_laplacian_matrix, signless_laplacian_matrix, eig_rho_signless),
+        ],
+    )
+    def test_matrix_radii(self, monkeypatch, rho_fn, build, oracle):
         g = cycle_plus_pendant(42)
-        m = build(g)
-        monkeypatch.setattr(tensors, "_NEWTON_MAX_DIM", g.n - 1)
+        runs = []
+
+        def recorded(*args):
+            runs.append(tensors._bracketed_iteration(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(matrixspec, "_bracketed_iteration", recorded)
         rho, vec = rho_fn(g, tol=1e-12)
+        ((x, iterations, lower, upper, converged),) = runs
+        m = build(g)
         matrix = SimpleNamespace(order=2, dim=g.n, apply=lambda x: m @ x)
-        iterations, x, lower, upper = power_iteration_reference(matrix, 1e-12, 1_000_000)
-        assert iterations > 100
-        assert np.array_equal(vec, x)
-        assert rho == 0.5 * (lower + upper) - 1.0
+        reference = power_iteration_reference(matrix, 1e-12, 1_000_000)[0]
+        assert converged and iterations <= 1.25 * reference
+        assert np.array_equal(vec, x) and rho == 0.5 * (lower + upper) - 1.0
+        assert contains(lower - 1.0, upper - 1.0, oracle(g))
+
+    @pytest.mark.parametrize("failure", ["singular", "nan", "garbage"])
+    @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
+    def test_broken_solve_falls_back_to_power_steps(self, monkeypatch, failure, cls):
+        h, _ = pendant_lift(10)
+        t = cls(h)
+        iterations, x, lower, upper = power_iteration_reference(t, 1e-12, 1_000_000)
+        rng = np.random.default_rng(0)
+        calls = []
+
+        def broken(m, b):
+            calls.append(m.shape)
+            if failure == "singular":
+                raise np.linalg.LinAlgError("singular matrix")
+            if failure == "nan":
+                return np.full_like(b, np.nan)
+            return rng.normal(size=b.shape) * 1e6
+
+        monkeypatch.setattr(np.linalg, "solve", broken)
+        res = power_iteration_rho(t, tol=1e-12, max_iter=10_000)
+        assert calls and res.converged
+        if failure == "garbage":
+            # Proposals that widen the bracket are taken back.
+            assert res.iterations <= 1.25 * iterations
+        else:
+            # Every proposal fails, so every iterate is the power step's.
+            assert res.iterations == iterations
+            assert np.array_equal(res.eigenvector, x)
+            assert (res.lower, res.upper) == (lower - 1.0, upper - 1.0)
+
+    def test_proposal_is_the_power_step_or_positive_with_max_one(self, monkeypatch):
+        depth = tensors._ANDERSON_DEPTH
+        rng = np.random.default_rng(3)
+        scales = [0.1, 1.0, 10.0]
+        monkeypatch.setattr(np.linalg, "solve", lambda m, b: rng.normal(size=len(b)) * rng.choice(scales))
+        mixer = tensors._AndersonMixer(8)
+        x = np.ones(8)
+        plain_ahead = depth  # steps before the history is full
+        mixed = failed = 0
+        for _ in range(300):
+            g = rng.uniform(0.2, 1.0, 8)
+            g /= g.max()
+            step = mixer.propose(x, g)
+            if plain_ahead:
+                assert step is g
+                plain_ahead -= 1
+            elif step is g:
+                # A failed proposal clears the history, which refills over power steps.
+                plain_ahead = depth - 1
+                failed += 1
+            else:
+                assert np.all(step > 0) and step.max() == 1.0
+                mixed += 1
+            x = step
+        assert mixed and failed
 
 
 @st.composite
