@@ -32,7 +32,8 @@ for k in (4, 6):
     ):
         t = tensor_cls(h)
         res = power_iteration_rho(t, tol=1e-12)
-        rho_m, vec = matrix_fn(paw, tol=1e-12)
+        matrix = matrix_fn(paw, tol=1e-12)
+        rho_m, vec = matrix.rho, matrix.eigenvector
         print(f"  {label}:")
         print(f"    tensor rho = {res.rho:.12f}  ({res.iterations} iterations, "
               f"bracket width {res.upper - res.lower:.2e})")

@@ -13,7 +13,6 @@ from hypergraph_spectra import (
     internal_path_edges,
     min_rho_search,
     rho_adjacency_matrix,
-    rho_signless_laplacian_matrix,
     subdivide,
     verify_theorem_nob,
 )
@@ -33,15 +32,15 @@ print()
 
 # subdivision monotonicity on a cycle with one pendant vertex
 g = cycle_plus_pendant(6)
-rho0, _ = rho_adjacency_matrix(g)
+rho0 = rho_adjacency_matrix(g).rho
 print(f"C_5 + pendant: rho(A) = {rho0:.12f}")
 print("internal-path (cycle) edges:", sorted(internal_path_edges(g)))
 for u, w in sorted(internal_path_edges(g))[:2]:
-    rho1, _ = rho_adjacency_matrix(subdivide(g, u, w))
+    rho1 = rho_adjacency_matrix(subdivide(g, u, w)).rho
     print(f"  subdividing ({u},{w}): rho -> {rho1:.12f}  (down)")
 tail = subdivide(g, 0, 1)
-rho_tail, _ = rho_adjacency_matrix(tail)
-rho_long, _ = rho_adjacency_matrix(subdivide(tail, 0, g.n))
+rho_tail = rho_adjacency_matrix(tail).rho
+rho_long = rho_adjacency_matrix(subdivide(tail, 0, g.n)).rho
 print(f"  lengthening the pendant tail: {rho_tail:.12f} -> {rho_long:.12f}  (up)")
 print()
 

@@ -45,14 +45,12 @@ from .fileio import (
 )
 from .matrixspec import (
     LimitPointTable,
-    adjacency_matrix,
     alpha_n,
     beta_n,
     limit_point_table,
     pendant_cycle_rho_sequence,
     rho_adjacency_matrix,
     rho_signless_laplacian_matrix,
-    signless_laplacian_matrix,
     tau_threshold,
 )
 from .oddbip import (

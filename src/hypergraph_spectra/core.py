@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -32,10 +32,20 @@ class _RefusedEdge(ValueError):
         self.row = row
 
 
+def _edge_array(h: GraphLike) -> np.ndarray:
+    """The canonical edges as a read-only (m, k) intp array."""
+    arr = np.array(h.edges, dtype=np.intp).reshape(h.m, h.k)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
-    """Undirected simple graph on vertices 0..n-1."""
+    """Undirected simple graph on vertices 0..n-1: a 2-uniform hypergraph,
+    so the tensors of order k = 2 take it as their hypergraph.
+    edge_array holds the canonical edges as a read-only (m, 2) intp array."""
 
+    k: ClassVar[int] = 2
     n: int
     edges: tuple[tuple[int, int], ...] = ()
 
@@ -75,6 +85,8 @@ class SimpleGraph:
         if u > v:
             u, v = v, u
         return (u, v) in self.edges
+
+    edge_array = cached_property(_edge_array)
 
 
 def canonical_edges(edges: np.ndarray, n: int) -> tuple[np.ndarray | None, int | None]:
@@ -164,11 +176,7 @@ class Hypergraph:
     def m(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        arr = np.array(self.edges, dtype=np.intp).reshape(self.m, self.k)
-        arr.flags.writeable = False
-        return arr
+    edge_array = cached_property(_edge_array)
 
 
 @dataclass(frozen=True)
@@ -201,30 +209,25 @@ def is_connected(h: GraphLike) -> bool:
     """True when every vertex is reachable from vertex 0 through edges.
 
     A single vertex with no edges counts as connected; extra isolated
-    vertices do not.
+    vertices do not. Decided on h.edge_array by hook-and-compress
+    labelling: each round hooks every label an edge sees to the smallest of
+    them, then points every vertex at its label's root. Labels only
+    decrease, and each round at least halves the number of labels in every
+    component that has more than one, so there are O(log n) rounds.
     """
-    if h.n == 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(h.n)]
-    for e in h.edges:
-        # A star within each edge carries the same reachability as the
-        # full clique on it.
-        hub = e[0]
-        for w in e[1:]:
-            adj[hub].append(w)
-            adj[w].append(hub)
-    seen = bytearray(h.n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                stack.append(w)
-    return count == h.n
+    edges = h.edge_array
+    label = np.arange(h.n)
+    while True:
+        seen = label[edges]
+        low = seen.min(axis=1)
+        if np.all(seen == low[:, None]):
+            return bool(np.all(label == 0))
+        np.minimum.at(label, seen, low[:, None])
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
 # Smallest relative bracket width accepted: about 45 units in the last

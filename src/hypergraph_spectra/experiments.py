@@ -16,6 +16,7 @@ from .constructions import cycle_plus_pendant, generalized_power
 from .core import SimpleGraph, check_solver_controls
 from .enumeration import enumerate_connected_graphs, enumerate_connected_nonbipartite
 from .matrixspec import (
+    _converged_rho,
     pendant_cycle_rho_sequence,
     rho_adjacency_matrix,
     rho_signless_laplacian_matrix,
@@ -147,7 +148,7 @@ def min_rho_search(
         low = bounds[i]
         if low - tol * (low + 2.0) > best + 10.0 * tol:
             break
-        rho, _ = rho_fn(graphs[i], tol=tol, max_iter=max_iter)
+        rho = _converged_rho(rho_fn(graphs[i], tol=tol, max_iter=max_iter))
         solved.append((i, rho))
         best = min(best, rho)
     argmin = [graphs[i] for i, rho in sorted(solved) if rho - best <= 10.0 * tol]
@@ -223,7 +224,8 @@ def convergence_report(
     gaps = []
     bounds_ok = True
     for n, rho in pendant_cycle_rho_sequence(n_max, tol=tol, max_iter=max_iter):
-        rho_tree, _ = rho_adjacency_matrix(_deleted_edge_tree(n), tol=tol, max_iter=max_iter)
+        tree = _deleted_edge_tree(n)
+        rho_tree = _converged_rho(rho_adjacency_matrix(tree, tol=tol, max_iter=max_iter))
         bound = rho_tree + 2.0 / (2 * n + 1) - thr
         gap = rho - thr
         gaps.append(gap)

@@ -1,14 +1,10 @@
 """Matrix spectral radii for base graphs, plus the limit-point sequences.
 
-rho(A(G)) and rho(Q(G)) for connected G are computed with the same contract
-as the tensor routine (diagonal shift 1, max-norm normalization, stopping on
-the two-sided Collatz-Wielandt bracket), which keeps the matrix and tensor
-sides directly comparable: they run the tensor solver's loop with the dense
-matrix as the operator, so the k = 2 Newton-Noda step there is Noda's
-shifted inverse iteration, taken once power steps would cost more. Only the
-apply differs: a matrix-vector product, with which a power step on a
-7-vertex graph takes about 12 us, against about 20 us through the edge-list
-apply of a k = 2 AdjacencyTensor.
+rho(A(G)) and rho(Q(G)) for connected G are the radii of the order-2
+adjacency and signless Laplacian tensors of G, taken as a 2-uniform
+hypergraph, so the matrix and tensor sides share one solver and one
+SpectralResult: for k = 2 its Newton-Noda step is Noda's shifted inverse
+iteration.
 
 The second half of the module tracks the classical limit point
 sqrt(2 + sqrt(5)) = tau^{3/2}, tau the golden ratio: beta_n is the positive
@@ -21,15 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constructions import cycle_plus_pendant
-from .core import SimpleGraph, check_solver_controls, is_connected
-from .tensors import _bracketed_iteration
+from .core import GraphLike, check_solver_controls
+from .tensors import AdjacencyTensor, SignlessLaplacianTensor, SpectralResult, power_iteration_rho
 
 __all__ = [
-    "adjacency_matrix",
-    "signless_laplacian_matrix",
     "rho_adjacency_matrix",
     "rho_signless_laplacian_matrix",
     "beta_n",
@@ -45,46 +37,34 @@ __all__ = [
 _MAX_LIMIT_INDEX = 64
 
 
-def adjacency_matrix(g: SimpleGraph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        a[u, v] = a[v, u] = 1.0
-    return a
-
-
-def signless_laplacian_matrix(g: SimpleGraph) -> np.ndarray:
-    a = adjacency_matrix(g)
-    return a + np.diag(a.sum(axis=1))
-
-
-def _rho(m: np.ndarray, g: SimpleGraph, tol: float, max_iter: int) -> tuple[float, np.ndarray]:
-    """Radius and eigenvector of the k = 2 operator m of connected g, from
-    the tensor solver's loop; RuntimeError when it does not converge."""
-    check_solver_controls(tol, max_iter)
-    x, _, lower, upper, converged = _bracketed_iteration(
-        lambda x: m @ x, lambda x: m, 2, g.n, 2 * g.m, tol, max_iter
-    )
-    if not converged:
-        raise RuntimeError(f"power iteration did not converge in {max_iter} steps")
-    return 0.5 * (lower + upper) - 1.0, x
+def _check_graph(g: GraphLike) -> None:
+    if g.k != 2:
+        raise ValueError(f"matrix radii need a graph (k = 2), got k = {g.k}")
 
 
 def rho_adjacency_matrix(
-    g: SimpleGraph, tol: float = 1e-10, max_iter: int = 1_000_000
-) -> tuple[float, np.ndarray]:
-    """(rho(A(g)), positive eigenvector with max entry 1); g must be connected."""
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
-    return _rho(adjacency_matrix(g), g, tol, max_iter)
+    g: GraphLike, tol: float = 1e-10, max_iter: int = 1_000_000
+) -> SpectralResult:
+    """rho(A(g)) as the SpectralResult of the k = 2 adjacency tensor of g;
+    g must be a connected graph."""
+    _check_graph(g)
+    return power_iteration_rho(AdjacencyTensor(g), tol, max_iter)
 
 
 def rho_signless_laplacian_matrix(
-    g: SimpleGraph, tol: float = 1e-10, max_iter: int = 1_000_000
-) -> tuple[float, np.ndarray]:
-    """(rho(D + A of g), positive eigenvector with max entry 1); g connected."""
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
-    return _rho(signless_laplacian_matrix(g), g, tol, max_iter)
+    g: GraphLike, tol: float = 1e-10, max_iter: int = 1_000_000
+) -> SpectralResult:
+    """rho(D + A of g) as the SpectralResult of the k = 2 signless
+    Laplacian tensor of g; g must be a connected graph."""
+    _check_graph(g)
+    return power_iteration_rho(SignlessLaplacianTensor(g), tol, max_iter)
+
+
+def _converged_rho(result: SpectralResult) -> float:
+    """result.rho; RuntimeError when the solve ran out of iterations."""
+    if not result.converged:
+        raise RuntimeError(f"power iteration did not converge in {result.iterations} steps")
+    return result.rho
 
 
 def beta_n(n: int, tol: float = 1e-12) -> float:
@@ -166,6 +146,5 @@ def pendant_cycle_rho_sequence(
     out = []
     for n in range(1, n_max + 1):
         g = cycle_plus_pendant(2 * n + 2)
-        rho, _ = rho_adjacency_matrix(g, tol=tol, max_iter=max_iter)
-        out.append((n, rho))
+        out.append((n, _converged_rho(rho_adjacency_matrix(g, tol=tol, max_iter=max_iter))))
     return out

@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .constructions import BlowupMap
-from .core import Hypergraph, check_solver_controls
+from .core import GraphLike, check_solver_controls, is_connected
 
 __all__ = [
     "ImplicitTensor",
@@ -91,12 +91,13 @@ _ANDERSON_RIDGE = 1e-12
 
 class ImplicitTensor:
     """Order-k, dimension-n nonnegative tensor of a k-uniform hypergraph,
-    seen through its action."""
+    seen through its action. A SimpleGraph is the hypergraph with k = 2,
+    whose tensors are its adjacency and signless Laplacian matrices."""
 
     kind: str
     order: int
     dim: int
-    hypergraph: Hypergraph
+    hypergraph: GraphLike
 
     def apply(self, x) -> np.ndarray:
         """T x^{k-1} as a length-n vector."""
@@ -127,7 +128,7 @@ class AdjacencyTensor(ImplicitTensor):
 
     kind = "adjacency"
 
-    def __init__(self, h: Hypergraph):
+    def __init__(self, h: GraphLike):
         self.hypergraph = h
         self.order = h.k
         self.dim = h.n
@@ -196,7 +197,7 @@ class SignlessLaplacianTensor(ImplicitTensor):
 
     kind = "signless-laplacian"
 
-    def __init__(self, h: Hypergraph):
+    def __init__(self, h: GraphLike):
         self.hypergraph = h
         self.order = h.k
         self.dim = h.n
@@ -279,30 +280,9 @@ def weakly_irreducible(t: ImplicitTensor) -> bool:
     For the adjacency and signless Laplacian tensors of a hypergraph this
     digraph is its co-occurrence graph (the degree diagonal adds only
     self-arcs). It is symmetric, so strong connectivity is plain hypergraph
-    connectivity, decided here on the edge array.
+    connectivity.
     """
-    return _connected(t.hypergraph.edge_array, t.dim)
-
-
-def _connected(edges: np.ndarray, n: int) -> bool:
-    """True when the hypergraph with these (m, k) edges on n vertices is
-    connected (a single vertex counts), by hook-and-compress labelling:
-    each round hooks every label an edge sees to the smallest of them, then
-    points every vertex at its label's root. Labels only decrease, and each
-    round at least halves the number of labels in every component that has
-    more than one, so there are O(log n) rounds."""
-    label = np.arange(n)
-    while True:
-        seen = label[edges]
-        low = seen.min(axis=1)
-        if np.all(seen == low[:, None]):
-            return bool(np.all(label == 0))
-        np.minimum.at(label, seen, low[:, None])
-        while True:
-            up = label[label]
-            if np.array_equal(up, label):
-                break
-            label = up
+    return is_connected(t.hypergraph)
 
 
 def _newton_pays(k: int, n: int, slots: int, power_steps: int, contraction: float, reduction: float) -> bool:
@@ -404,14 +384,11 @@ class _AndersonMixer:
         return g
 
 
-def _bracketed_iteration(apply, jacobian, k: int, n: int, slots: int, tol: float, max_iter: int):
-    """The loop behind power_iteration_rho and the matrix radii.
-
-    apply(x) is T x^{k-1} for an order-k, dimension-n operator whose apply
-    reads `slots` stored entries, and jacobian(x) its Jacobian. Returns
-    (x, iterations, lower, upper, converged) with the bracket of the ratios
-    shifted by 1.
-    """
+def _bracketed_iteration(t: ImplicitTensor, tol: float, max_iter: int):
+    """The loop behind power_iteration_rho. Returns (x, iterations, lower,
+    upper, converged) with the bracket of the ratios shifted by 1."""
+    k, n = t.order, t.dim
+    slots = t.hypergraph.m * k
     newton_ready = n <= _NEWTON_MAX_DIM
     mixer = None if newton_ready else _AndersonMixer(n)
     plain = None  # the power step an Anderson proposal x replaced
@@ -421,7 +398,7 @@ def _bracketed_iteration(apply, jacobian, k: int, n: int, slots: int, tol: float
     iterations = 0
     for iterations in range(1, max_iter + 1):
         xk = x ** (k - 1)
-        y = apply(x) + xk
+        y = t.apply(x) + xk
         s = y / xk
         lower = float(s.min())
         upper = float(s.max())
@@ -436,7 +413,7 @@ def _bracketed_iteration(apply, jacobian, k: int, n: int, slots: int, tol: float
             reduction = tol * upper / (upper - lower)
             newton = _newton_pays(k, n, slots, iterations - 1, (upper - lower) / width, reduction)
         width = upper - lower
-        step = _newton_noda_step(jacobian(x), k, x, upper - 1.0) if newton else None
+        step = _newton_noda_step(t.jacobian(x), k, x, upper - 1.0) if newton else None
         if step is None:
             step = y ** (1.0 / (k - 1))
             step /= step.max()
@@ -474,10 +451,8 @@ def power_iteration_rho(
     """
     check_solver_controls(tol, max_iter)
     if not weakly_irreducible(t):
-        raise ValueError("tensor is not weakly irreducible")
-    x, iterations, lower, upper, converged = _bracketed_iteration(
-        t.apply, t.jacobian, t.order, t.dim, t.hypergraph.m * t.order, tol, max_iter
-    )
+        raise ValueError("tensor is not weakly irreducible: the hypergraph is not connected")
+    x, iterations, lower, upper, converged = _bracketed_iteration(t, tol, max_iter)
     return SpectralResult(
         rho=0.5 * (lower + upper) - 1.0,
         eigenvector=x,

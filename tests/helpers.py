@@ -34,19 +34,24 @@ def brute_odd_bipartite(h: Hypergraph) -> bool:
     return False
 
 
-def eig_rho_adjacency(g: SimpleGraph) -> float:
+def adjacency_matrix(g: SimpleGraph) -> np.ndarray:
     a = np.zeros((g.n, g.n))
     for u, v in g.edges:
         a[u, v] = a[v, u] = 1.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    return a
+
+
+def signless_laplacian_matrix(g: SimpleGraph) -> np.ndarray:
+    a = adjacency_matrix(g)
+    return a + np.diag(a.sum(axis=1))
+
+
+def eig_rho_adjacency(g: SimpleGraph) -> float:
+    return float(np.max(np.abs(np.linalg.eigvalsh(adjacency_matrix(g)))))
 
 
 def eig_rho_signless(g: SimpleGraph) -> float:
-    a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        a[u, v] = a[v, u] = 1.0
-    q = a + np.diag(a.sum(axis=1))
-    return float(np.max(np.linalg.eigvalsh(q)))
+    return float(np.max(np.linalg.eigvalsh(signless_laplacian_matrix(g))))
 
 
 def eager_gf2_solve(system: ParitySystem) -> int | None:

@@ -173,7 +173,7 @@ def test_criterion_04_blowup_preserves_radius():
         # radius is pinned to 0 by the row-sum bounds, matching the matrix
         lone, _ = generalized_power(SimpleGraph(1, ()), k, k // 2)
         assert rho_bounds(AdjacencyTensor(lone)) == (0.0, 0.0)
-        assert rho_adjacency_matrix(SimpleGraph(1, ()))[0] == 0.0
+        assert rho_adjacency_matrix(SimpleGraph(1, ())).rho == 0.0
     for n in range(2, 7):
         for g in enumerate_connected_graphs(n):
             pairs = (
@@ -181,7 +181,8 @@ def test_criterion_04_blowup_preserves_radius():
                 (SignlessLaplacianTensor, rho_signless_laplacian_matrix),
             )
             for tensor_cls, matrix_fn in pairs:
-                rho_m, vec = matrix_fn(g, tol=1e-12)
+                matrix = matrix_fn(g, tol=1e-12)
+                rho_m, vec = matrix.rho, matrix.eigenvector
                 for k in (4, 6):
                     h, bmap = generalized_power(g, k, k // 2)
                     t = tensor_cls(h)
@@ -210,7 +211,7 @@ def test_criterion_05_known_radii():
     triangle_lift = s_cycle(4, 2, 3)
     assert abs(power_iteration_rho(AdjacencyTensor(triangle_lift)).rho - 2.0) <= 1e-8
     for n in range(3, 9):
-        assert abs(rho_signless_laplacian_matrix(cycle_graph(n))[0] - 4.0) <= 1e-8
+        assert abs(rho_signless_laplacian_matrix(cycle_graph(n)).rho - 4.0) <= 1e-8
     for k in (4, 6):
         for n in (3, 4, 5):
             h, _ = generalized_power(cycle_graph(n), k, k // 2)
@@ -352,7 +353,7 @@ def test_criterion_09_pendant_cycle_descent():
     # Perron vector ordering along the cycle for n <= 10
     for n in range(1, 11):
         g = cycle_plus_pendant(2 * n + 2)
-        _, x = rho_adjacency_matrix(g, tol=1e-12)
+        x = rho_adjacency_matrix(g, tol=1e-12).eigenvector
         chain = [x[v] for v in range(1, n + 2)]
         assert all(a > b for a, b in zip(chain, chain[1:])), n
     report(9, "pendant odd cycles decrease strictly to sqrt(2 + sqrt(5)); "
@@ -368,11 +369,11 @@ def test_criterion_10_subdivision_monotonicity():
         tail = subdivide(g, 0, 1)  # lollipop with a length-2 tail
         longer = subdivide(tail, 0, g.n)  # its terminal pendant edge
         for rho_fn in (rho_adjacency_matrix, rho_signless_laplacian_matrix):
-            rho_g, _ = rho_fn(g, tol=1e-12)
-            rho_inner, _ = rho_fn(inner, tol=1e-12)
+            rho_g = rho_fn(g, tol=1e-12).rho
+            rho_inner = rho_fn(inner, tol=1e-12).rho
             assert rho_inner < rho_g - 1e-9, n
-            rho_tail, _ = rho_fn(tail, tol=1e-12)
-            rho_longer, _ = rho_fn(longer, tol=1e-12)
+            rho_tail = rho_fn(tail, tol=1e-12).rho
+            rho_longer = rho_fn(longer, tol=1e-12).rho
             assert rho_longer > rho_tail + 1e-9, n
     # tensor-level agreement at k = 4 on bases with at most 6 vertices
     for n in (4, 5, 6):
@@ -390,7 +391,7 @@ def test_criterion_10_subdivision_monotonicity():
             for name, graph in variants.items():
                 h, _ = generalized_power(graph, 4, 2)
                 rho_t[name] = power_iteration_rho(tensor_cls(h), tol=1e-10).rho
-                rho_m, _ = matrix_fn(graph, tol=1e-12)
+                rho_m = matrix_fn(graph, tol=1e-12).rho
                 assert abs(rho_t[name] - rho_m) <= 1e-8, (n, name)
             assert rho_t["inner"] < rho_t["base"] - 1e-9
             assert rho_t["tail"] > rho_t["base"] + 1e-9

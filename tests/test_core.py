@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -59,6 +60,17 @@ class TestSimpleGraph:
     def test_isolated_vertices_allowed(self):
         g = SimpleGraph(4, ((0, 1),))
         assert g.n == 4 and g.m == 1
+
+    def test_is_a_two_uniform_hypergraph(self):
+        g = SimpleGraph(4, ((3, 1), (0, 2), (2, 1)))
+        assert g.k == SimpleGraph.k == 2
+        assert "k" not in {f.name for f in dataclasses.fields(SimpleGraph)}
+        assert g.edge_array.tolist() == [[0, 2], [1, 2], [1, 3]]
+        assert g.edge_array.dtype == np.intp
+        np.testing.assert_array_equal(g.edge_array, Hypergraph(2, 4, g.edges).edge_array)
+        with pytest.raises(ValueError):
+            g.edge_array[0, 0] = 1
+        assert SimpleGraph(3).edge_array.shape == (0, 2)
 
 
 class TestHypergraph:

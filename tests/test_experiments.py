@@ -98,7 +98,7 @@ class TestPrunedSearchMatchesFullScan:
         # Loose tolerances widen the tie window until many classes tie, so
         # the minimisers must also come back in code order.
         radii = [
-            experiments.MATRIX_RHO[operator](g, tol=tol)[0]
+            experiments.MATRIX_RHO[operator](g, tol=tol).rho
             for g in enumerate_connected_nonbipartite(n)
         ]
         best = min(radii)

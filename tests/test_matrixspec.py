@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from hypergraph_spectra import (
+    Hypergraph,
     SimpleGraph,
-    adjacency_matrix,
     alpha_n,
     beta_n,
     cycle_graph,
@@ -16,12 +16,11 @@ from hypergraph_spectra import (
     pendant_cycle_rho_sequence,
     rho_adjacency_matrix,
     rho_signless_laplacian_matrix,
-    signless_laplacian_matrix,
     t_graph,
     tau_threshold,
 )
 
-from helpers import eig_rho_adjacency, eig_rho_signless
+from helpers import adjacency_matrix, eig_rho_adjacency, eig_rho_signless
 
 # From an independent high-precision eigenvalue computation.
 PAW_RHO_A = 2.170086486626033
@@ -41,46 +40,36 @@ BETA_REFERENCE = {
 TAU_32 = 2.0581710272714922
 
 
-class TestMatrices:
-    def test_adjacency_entries(self):
-        a = adjacency_matrix(path_graph(3))
-        assert a.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
-
-    def test_signless_adds_degrees(self):
-        q = signless_laplacian_matrix(path_graph(3))
-        assert q.tolist() == [[1, 1, 0], [1, 2, 1], [0, 1, 1]]
-
-
 class TestRho:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_path_closed_form(self, n):
-        rho, _ = rho_adjacency_matrix(path_graph(n))
+        rho = rho_adjacency_matrix(path_graph(n)).rho
         assert abs(rho - 2.0 * math.cos(math.pi / (n + 1))) <= 1e-9
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_cycle_is_two_regular(self, n):
-        rho, _ = rho_adjacency_matrix(cycle_graph(n))
+        rho = rho_adjacency_matrix(cycle_graph(n)).rho
         assert rho == 2.0  # row sums constant, bracket closes instantly
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_signless_path_closed_form(self, n):
-        rho, _ = rho_signless_laplacian_matrix(path_graph(n))
+        rho = rho_signless_laplacian_matrix(path_graph(n)).rho
         assert abs(rho - (2.0 + 2.0 * math.cos(math.pi / n))) <= 1e-9
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_signless_cycle_is_four(self, n):
-        rho, _ = rho_signless_laplacian_matrix(cycle_graph(n))
+        rho = rho_signless_laplacian_matrix(cycle_graph(n)).rho
         assert rho == 4.0
 
     def test_single_vertex(self):
-        assert rho_adjacency_matrix(path_graph(1))[0] == 0.0
-        assert rho_signless_laplacian_matrix(path_graph(1))[0] == 0.0
+        assert rho_adjacency_matrix(path_graph(1)).rho == 0.0
+        assert rho_signless_laplacian_matrix(path_graph(1)).rho == 0.0
 
     def test_frozen_small_graphs(self):
-        assert abs(rho_adjacency_matrix(cycle_plus_pendant(4))[0] - PAW_RHO_A) <= 1e-9
-        assert abs(rho_signless_laplacian_matrix(cycle_plus_pendant(4))[0] - PAW_RHO_Q) <= 1e-9
-        assert abs(rho_adjacency_matrix(cycle_plus_pendant(6))[0] - C5E_RHO_A) <= 1e-9
-        assert abs(rho_signless_laplacian_matrix(cycle_plus_pendant(6))[0] - C5E_RHO_Q) <= 1e-9
+        assert abs(rho_adjacency_matrix(cycle_plus_pendant(4)).rho - PAW_RHO_A) <= 1e-9
+        assert abs(rho_signless_laplacian_matrix(cycle_plus_pendant(4)).rho - PAW_RHO_Q) <= 1e-9
+        assert abs(rho_adjacency_matrix(cycle_plus_pendant(6)).rho - C5E_RHO_A) <= 1e-9
+        assert abs(rho_signless_laplacian_matrix(cycle_plus_pendant(6)).rho - C5E_RHO_Q) <= 1e-9
 
     def test_agrees_with_dense_solver(self):
         cases = [
@@ -90,14 +79,15 @@ class TestRho:
             SimpleGraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3))),
         ]
         for g in cases:
-            rho_a, _ = rho_adjacency_matrix(g)
-            rho_q, _ = rho_signless_laplacian_matrix(g)
+            rho_a = rho_adjacency_matrix(g).rho
+            rho_q = rho_signless_laplacian_matrix(g).rho
             assert abs(rho_a - eig_rho_adjacency(g)) <= 1e-9
             assert abs(rho_q - eig_rho_signless(g)) <= 1e-9
 
     def test_eigenvector_quality(self):
         g = t_graph(8)
-        rho, x = rho_adjacency_matrix(g, tol=1e-12)
+        res = rho_adjacency_matrix(g, tol=1e-12)
+        rho, x = res.rho, res.eigenvector
         assert np.all(x > 0) and x.max() == 1.0
         resid = np.max(np.abs(adjacency_matrix(g) @ x - rho * x))
         assert resid <= 1e-10
@@ -110,8 +100,22 @@ class TestRho:
             rho_signless_laplacian_matrix(g)
 
     def test_iteration_budget_enforced(self):
-        with pytest.raises(RuntimeError):
-            rho_adjacency_matrix(path_graph(6), tol=1e-14, max_iter=2)
+        res = rho_adjacency_matrix(path_graph(6), tol=1e-14, max_iter=2)
+        assert res.converged is False and res.iterations == 2
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_hypergraphs_other_than_graphs_rejected(self, k):
+        h = Hypergraph(k, k + 1, (tuple(range(k)), tuple(range(1, k + 1))))
+        for rho_fn in (rho_adjacency_matrix, rho_signless_laplacian_matrix):
+            with pytest.raises(ValueError, match=f"k = {k}"):
+                rho_fn(h)
+
+    def test_two_uniform_hypergraph_counts_as_its_graph(self):
+        g = cycle_plus_pendant(4)
+        for rho_fn in (rho_adjacency_matrix, rho_signless_laplacian_matrix):
+            ours, theirs = rho_fn(g), rho_fn(Hypergraph(2, g.n, g.edges))
+            assert ours.rho == theirs.rho
+            assert np.array_equal(ours.eigenvector, theirs.eigenvector)
 
     @pytest.mark.parametrize("controls", [{"tol": math.nan}, {"tol": math.inf}, {"max_iter": 0}])
     def test_bad_controls_rejected(self, controls):
@@ -152,7 +156,8 @@ class TestNodaSteps:
             return -np.ones_like(b)
 
         monkeypatch.setattr(np.linalg, "solve", broken)
-        rho, vec = rho_fn(g, tol=1e-12)
+        res = rho_fn(g, tol=1e-12)
+        rho, vec = res.rho, res.eigenvector
         assert calls
         assert abs(rho - oracle(g)) <= 1e-10
         assert vec.max() == 1.0 and np.all(vec > 0)
@@ -162,8 +167,8 @@ class TestNodaSteps:
         # for n = 5, and more than 1000 for n = 20 and 50.
         for n in (5, 20, 50):
             g = cycle_plus_pendant(2 * n + 2)
-            rho, _ = rho_adjacency_matrix(g, tol=1e-13, max_iter=100)
-            assert abs(rho - eig_rho_adjacency(g)) <= 1e-12
+            res = rho_adjacency_matrix(g, tol=1e-13, max_iter=100)
+            assert res.converged and abs(res.rho - eig_rho_adjacency(g)) <= 1e-12
 
 
 class TestBetaRoots:

@@ -15,7 +15,6 @@ from hypergraph_spectra import (
     SignlessLaplacianTensor,
     SimpleGraph,
     SpectralResult,
-    adjacency_matrix,
     caterpillar,
     check_subsolution,
     cycle_graph,
@@ -34,20 +33,21 @@ from hypergraph_spectra import (
     s_cycle,
     s_path,
     s_ratios,
-    signless_laplacian_matrix,
     txk,
     weakly_irreducible,
 )
-from hypergraph_spectra import matrixspec, tensors
+from hypergraph_spectra import tensors
 
 from helpers import (
     _tarjan_scc,
     add_at_apply,
+    adjacency_matrix,
     cooccurrence_arcs,
     eig_rho_adjacency,
     eig_rho_signless,
     jacobian_reference,
     power_iteration_reference,
+    signless_laplacian_matrix,
 )
 
 DISJOINT_PAIR = Hypergraph(4, 8, ((0, 1, 2, 3), (4, 5, 6, 7)))
@@ -256,8 +256,7 @@ class TestIrreducibilityMatchesTarjan:
         assert weakly_irreducible(SignlessLaplacianTensor(h))
 
     def test_array_built_hypergraphs(self):
-        # The labelling runs on the edge array; Tarjan and the BFS of
-        # is_connected are its oracles.
+        # The labelling runs on the edge array; Tarjan is its oracle.
         rng = random.Random(41)
         verdicts = set()
         for k in (2, 3, 4, 6):
@@ -338,8 +337,8 @@ class TestPowerIteration:
 
     def test_matches_matrix_radius_through_blowup(self):
         g = cycle_plus_pendant(4)
-        rho_a, _ = rho_adjacency_matrix(g, tol=1e-12)
-        rho_q, _ = rho_signless_laplacian_matrix(g, tol=1e-12)
+        rho_a = rho_adjacency_matrix(g, tol=1e-12).rho
+        rho_q = rho_signless_laplacian_matrix(g, tol=1e-12).rho
         for k in (4, 6):
             h, _ = generalized_power(g, k, k // 2)
             res_a = power_iteration_rho(AdjacencyTensor(h))
@@ -475,7 +474,8 @@ class TestLifting:
 
     def test_lifted_matrix_eigenvector_solves_tensor_equation(self):
         g = cycle_plus_pendant(4)
-        rho, x = rho_adjacency_matrix(g, tol=1e-13)
+        res = rho_adjacency_matrix(g, tol=1e-13)
+        rho, x = res.rho, res.eigenvector
         for k in (4, 6):
             h, bmap = generalized_power(g, k, k // 2)
             z = lift_vector(x, bmap)
@@ -716,13 +716,15 @@ class TestAndersonAboveTheSizeCap:
     def test_matrix_radii(self, monkeypatch, rho_fn, build, oracle):
         g = cycle_plus_pendant(42)
         runs = []
+        loop = tensors._bracketed_iteration
 
         def recorded(*args):
-            runs.append(tensors._bracketed_iteration(*args))
+            runs.append(loop(*args))
             return runs[-1]
 
-        monkeypatch.setattr(matrixspec, "_bracketed_iteration", recorded)
-        rho, vec = rho_fn(g, tol=1e-12)
+        monkeypatch.setattr(tensors, "_bracketed_iteration", recorded)
+        res = rho_fn(g, tol=1e-12)
+        rho, vec = res.rho, res.eigenvector
         ((x, iterations, lower, upper, converged),) = runs
         m = build(g)
         matrix = SimpleNamespace(order=2, dim=g.n, apply=lambda x: m @ x)
