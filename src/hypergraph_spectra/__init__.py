@@ -2,9 +2,13 @@
 
 Blow-up constructions (vertices to s-sets, edges to k-sets), parity-based
 odd-bipartiteness certificates, adjacency and signless Laplacian tensor
-spectral radii inside Collatz-Wielandt brackets (power steps, then
-Newton-Noda steps once they cost less), the matching matrix-side computations, and exhaustive
-small-graph experiments around the limit point sqrt(2 + sqrt(5)).
+spectral radii inside Collatz-Wielandt brackets, and exhaustive small-graph
+experiments around the limit point sqrt(2 + sqrt(5)). A SimpleGraph is the
+2-uniform Hypergraph, so the matrix radii of a base graph are the k = 2
+tensor solves; the signless Laplacian Q is the adjacency tensor A plus its
+degree diagonal. A solve takes power steps, then Newton-Noda steps once
+they cost less; above dimension 2048 it takes Anderson-mixed power steps
+instead.
 """
 
 from .constructions import (
@@ -37,6 +41,7 @@ from .experiments import (
     verify_theorem_nob,
 )
 from .fileio import (
+    MAX_VERTICES,
     ParseError,
     parse_graph,
     parse_hypergraph,
@@ -64,7 +69,6 @@ from .oddbip import (
 from .cli import main, run_cli
 from .tensors import (
     AdjacencyTensor,
-    ImplicitTensor,
     SignlessLaplacianTensor,
     SpectralResult,
     check_subsolution,

@@ -5,8 +5,9 @@ replacing every vertex with an s-set and every edge uv with the k-set made
 of the two endpoint sets plus k-2s fresh vertices. With s = k/2 no fresh
 vertices are needed and the edges are unions of two "half edges".
 
-The blow-ups and loose paths and cycles refuse, before building anything, a
-result with more vertices than a file may declare (MAX_VERTICES).
+The blow-ups, the loose paths and cycles, and subdivide refuse, before
+building anything, a result with more vertices than a file may declare
+(MAX_VERTICES).
 """
 
 from __future__ import annotations
@@ -198,6 +199,7 @@ def subdivide(g: SimpleGraph, u: int, w: int) -> SimpleGraph:
     a, b = (u, w) if u < w else (w, u)
     if (a, b) not in g.edges:
         raise ValueError(f"no edge ({u}, {w}) to subdivide")
+    _check_size(g.n + 1)
     x = g.n
     edges = tuple(e for e in g.edges if e != (a, b)) + ((a, x), (b, x))
     return SimpleGraph(g.n + 1, edges)

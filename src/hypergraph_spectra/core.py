@@ -1,4 +1,4 @@
-"""Containers for simple graphs and k-uniform hypergraphs.
+"""Containers for k-uniform hypergraphs; a simple graph is the 2-uniform one.
 
 Vertices are dense 0-based indices 0..n-1. Edges are stored sorted, both
 internally (each edge ascending) and as a whole (lexicographic), so two
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Union
 
 import numpy as np
 
@@ -30,63 +29,6 @@ class _RefusedEdge(ValueError):
     def __init__(self, message: str, row: int):
         super().__init__(message)
         self.row = row
-
-
-def _edge_array(h: GraphLike) -> np.ndarray:
-    """The canonical edges as a read-only (m, k) intp array."""
-    arr = np.array(h.edges, dtype=np.intp).reshape(h.m, h.k)
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class SimpleGraph:
-    """Undirected simple graph on vertices 0..n-1: a 2-uniform hypergraph,
-    so the tensors of order k = 2 take it as their hypergraph.
-    edge_array holds the canonical edges as a read-only (m, 2) intp array."""
-
-    k: ClassVar[int] = 2
-    n: int
-    edges: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("graph needs at least one vertex")
-        seen: set[tuple[int, int]] = set()
-        canon = []
-        for row, e in enumerate(self.edges):
-            if len(e) != 2:
-                raise _RefusedEdge(f"edge {e!r} is not a pair", row)
-            u, v = e
-            if u == v:
-                raise _RefusedEdge(f"loop at vertex {u}", row)
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise _RefusedEdge(f"edge {e!r} out of range for n={self.n}", row)
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise _RefusedEdge(f"duplicate edge ({u}, {v})", row)
-            seen.add((u, v))
-            canon.append((u, v))
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
-    def adjacency_lists(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edges
-
-    edge_array = cached_property(_edge_array)
 
 
 def canonical_edges(edges: np.ndarray, n: int) -> tuple[np.ndarray | None, int | None]:
@@ -176,7 +118,39 @@ class Hypergraph:
     def m(self) -> int:
         return len(self.edges)
 
-    edge_array = cached_property(_edge_array)
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        arr = np.array(self.edges, dtype=np.intp).reshape(self.m, self.k)
+        arr.flags.writeable = False
+        return arr
+
+    def __getstate__(self) -> dict:
+        # A pickled array comes back writeable; the copy rebuilds its own.
+        state = self.__dict__.copy()
+        state.pop("edge_array", None)
+        return state
+
+
+class SimpleGraph(Hypergraph):
+    """Undirected simple graph on vertices 0..n-1: the 2-uniform
+    Hypergraph, so the tensors of order k = 2 take it as their hypergraph."""
+
+    k = 2
+
+    def __init__(self, n: int, edges=()):
+        Hypergraph.__init__(self, 2, n, edges)
+
+    def adjacency_lists(self) -> list[list[int]]:
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return adj
+
+    def has_edge(self, u: int, v: int) -> bool:
+        if u > v:
+            u, v = v, u
+        return (u, v) in self.edges
 
 
 @dataclass(frozen=True)
@@ -195,17 +169,14 @@ class Bipartition:
         object.__setattr__(self, "part_two", p2)
 
 
-GraphLike = Union[SimpleGraph, Hypergraph]
-
-
-def degree(h: GraphLike, v: int) -> int:
+def degree(h: Hypergraph, v: int) -> int:
     """Number of edges incident to vertex v."""
     if not 0 <= v < h.n:
         raise IndexError(f"vertex {v} out of range for n={h.n}")
     return sum(1 for e in h.edges if v in e)
 
 
-def is_connected(h: GraphLike) -> bool:
+def is_connected(h: Hypergraph) -> bool:
     """True when every vertex is reachable from vertex 0 through edges.
 
     A single vertex with no edges counts as connected; extra isolated
@@ -247,7 +218,7 @@ def check_solver_controls(tol: float, max_iter: int = 1) -> None:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
 
 
-def remove_edge(h: GraphLike, index: int) -> GraphLike:
+def remove_edge(h: Hypergraph, index: int) -> Hypergraph:
     """Copy of h with the edge at the given position deleted.
 
     The vertex set is kept as is, so the result spans the same vertices.
@@ -255,6 +226,6 @@ def remove_edge(h: GraphLike, index: int) -> GraphLike:
     if not 0 <= index < len(h.edges):
         raise IndexError(f"edge index {index} out of range for m={len(h.edges)}")
     rest = h.edges[:index] + h.edges[index + 1 :]
-    if isinstance(h, Hypergraph):
-        return Hypergraph(h.k, h.n, rest)
-    return SimpleGraph(h.n, rest)
+    if isinstance(h, SimpleGraph):
+        return SimpleGraph(h.n, rest)
+    return Hypergraph(h.k, h.n, rest)

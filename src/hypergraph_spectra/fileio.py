@@ -209,9 +209,7 @@ def parse_graph(text: str) -> SimpleGraph:
     toks, body, (n, m) = _read(text, "graph", 2)
     if n < 1 or m < 0:
         raise ParseError("line 1: header values out of range")
-    return _edge_block(
-        toks, body, 2, n, m, lambda rows: SimpleGraph(n, tuple(map(tuple, rows.tolist())))
-    )
+    return _edge_block(toks, body, 2, n, m, lambda rows: SimpleGraph(n, rows))
 
 
 def serialize_graph(g: SimpleGraph) -> str:

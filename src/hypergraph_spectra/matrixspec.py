@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .constructions import cycle_plus_pendant
-from .core import GraphLike, check_solver_controls
+from .core import Hypergraph, check_solver_controls
 from .tensors import AdjacencyTensor, SignlessLaplacianTensor, SpectralResult, power_iteration_rho
 
 __all__ = [
@@ -37,13 +37,13 @@ __all__ = [
 _MAX_LIMIT_INDEX = 64
 
 
-def _check_graph(g: GraphLike) -> None:
+def _check_graph(g: Hypergraph) -> None:
     if g.k != 2:
         raise ValueError(f"matrix radii need a graph (k = 2), got k = {g.k}")
 
 
 def rho_adjacency_matrix(
-    g: GraphLike, tol: float = 1e-10, max_iter: int = 1_000_000
+    g: Hypergraph, tol: float = 1e-10, max_iter: int = 1_000_000
 ) -> SpectralResult:
     """rho(A(g)) as the SpectralResult of the k = 2 adjacency tensor of g;
     g must be a connected graph."""
@@ -52,7 +52,7 @@ def rho_adjacency_matrix(
 
 
 def rho_signless_laplacian_matrix(
-    g: GraphLike, tol: float = 1e-10, max_iter: int = 1_000_000
+    g: Hypergraph, tol: float = 1e-10, max_iter: int = 1_000_000
 ) -> SpectralResult:
     """rho(D + A of g) as the SpectralResult of the k = 2 signless
     Laplacian tensor of g; g must be a connected graph."""

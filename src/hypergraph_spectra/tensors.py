@@ -2,8 +2,11 @@
 
 For a k-uniform hypergraph the adjacency tensor A has order k and dimension
 n, with entry 1/(k-1)! at every permutation of every edge. The signless
-Laplacian is Q = D + A with vertex degrees on the diagonal. Tensors here are
-kept implicit: all spectral work needs only x -> T x^{k-1}, where
+Laplacian Q = D + A is A plus its degree diagonal, so SignlessLaplacianTensor
+is an AdjacencyTensor that adds that diagonal to each adjacency result. A
+SimpleGraph is the 2-uniform Hypergraph, whose two tensors are its adjacency
+and signless Laplacian matrices. Tensors here are kept implicit: all
+spectral work needs only x -> T x^{k-1}, where
 
     (A x^{k-1})_u = sum over edges e containing u of prod_{w in e, w != u} x_w.
 
@@ -41,10 +44,9 @@ from functools import lru_cache
 import numpy as np
 
 from .constructions import BlowupMap
-from .core import GraphLike, check_solver_controls, is_connected
+from .core import Hypergraph, check_solver_controls, is_connected
 
 __all__ = [
-    "ImplicitTensor",
     "AdjacencyTensor",
     "SignlessLaplacianTensor",
     "SpectralResult",
@@ -89,37 +91,11 @@ _ANDERSON_DEPTH = 5
 _ANDERSON_RIDGE = 1e-12
 
 
-class ImplicitTensor:
-    """Order-k, dimension-n nonnegative tensor of a k-uniform hypergraph,
-    seen through its action. A SimpleGraph is the hypergraph with k = 2,
-    whose tensors are its adjacency and signless Laplacian matrices."""
-
-    kind: str
-    order: int
-    dim: int
-    hypergraph: GraphLike
-
-    def apply(self, x) -> np.ndarray:
-        """T x^{k-1} as a length-n vector."""
-        raise NotImplementedError
-
-    def jacobian(self, x) -> np.ndarray:
-        """Dense n x n Jacobian of x -> T x^{k-1}."""
-        raise NotImplementedError
-
-    def row_sums(self) -> np.ndarray:
-        """r_i = sum of all entries with first index i."""
-        raise NotImplementedError
-
-    def _check_vector(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        if arr.shape != (self.dim,):
-            raise ValueError(f"expected a vector of length {self.dim}, got shape {arr.shape}")
-        return arr
-
-
-class AdjacencyTensor(ImplicitTensor):
-    """Adjacency tensor of a k-uniform hypergraph.
+class AdjacencyTensor:
+    """Adjacency tensor of a k-uniform hypergraph, kept implicit: the
+    solvers need only apply (x -> A x^{k-1}), jacobian and row_sums. A
+    SimpleGraph is the hypergraph with k = 2, whose tensor is its adjacency
+    matrix.
 
     apply works in three (m, k) buffers that the tensor allocates once and
     reuses on every call, so one tensor must not serve concurrent apply
@@ -127,8 +103,11 @@ class AdjacencyTensor(ImplicitTensor):
     """
 
     kind = "adjacency"
+    order: int
+    dim: int
+    hypergraph: Hypergraph
 
-    def __init__(self, h: GraphLike):
+    def __init__(self, h: Hypergraph):
         self.hypergraph = h
         self.order = h.k
         self.dim = h.n
@@ -160,7 +139,14 @@ class AdjacencyTensor(ImplicitTensor):
         # no longer alias its copied buffer.
         return type(self), (self.hypergraph,)
 
+    def _check_vector(self, x) -> np.ndarray:
+        arr = np.asarray(x, dtype=float)
+        if arr.shape != (self.dim,):
+            raise ValueError(f"expected a vector of length {self.dim}, got shape {arr.shape}")
+        return arr
+
     def apply(self, x) -> np.ndarray:
+        """A x^{k-1} as a length-n vector."""
         x = self._check_vector(x)
         if not self.hypergraph.m:
             return np.zeros(self.dim)
@@ -174,7 +160,8 @@ class AdjacencyTensor(ImplicitTensor):
         return np.bincount(self._edges.ravel(), weights=self._gathered.ravel(), minlength=self.dim)
 
     def row_sums(self) -> np.ndarray:
-        # Each incident edge contributes (k-1)! entries of 1/(k-1)!.
+        """r_i = sum of all entries with first index i: each incident edge
+        contributes (k-1)! entries of 1/(k-1)!."""
         return self._deg.copy()
 
     def jacobian(self, x) -> np.ndarray:
@@ -192,30 +179,26 @@ class AdjacencyTensor(ImplicitTensor):
         return above + above.T
 
 
-class SignlessLaplacianTensor(ImplicitTensor):
-    """Degree diagonal plus adjacency tensor of a k-uniform hypergraph."""
+class SignlessLaplacianTensor(AdjacencyTensor):
+    """Signless Laplacian Q = D + A of a k-uniform hypergraph: the adjacency
+    tensor plus the degree diagonal, which each method adds to the
+    adjacency result. For k = 2 it is the matrix D + A of a SimpleGraph."""
 
     kind = "signless-laplacian"
 
-    def __init__(self, h: GraphLike):
-        self.hypergraph = h
-        self.order = h.k
-        self.dim = h.n
-        self._adj = AdjacencyTensor(h)
-        self._deg = self._adj._deg
-
     def apply(self, x) -> np.ndarray:
+        """Q x^{k-1}: A x^{k-1} plus deg_u x_u^{k-1}."""
         x = self._check_vector(x)
-        return self._adj.apply(x) + self._deg * x ** (self.order - 1)
+        return super().apply(x) + self._deg * x ** (self.order - 1)
 
     def row_sums(self) -> np.ndarray:
-        return 2.0 * self._deg
+        return super().row_sums() + self._deg
 
     def jacobian(self, x) -> np.ndarray:
         """Dense Jacobian of x -> Q x^{k-1}: the adjacency Jacobian plus
         (k-1) deg_u x_u^{k-2} on the diagonal."""
         x = self._check_vector(x)
-        jac = self._adj.jacobian(x)
+        jac = super().jacobian(x)
         k = self.order
         jac[np.diag_indices(self.dim)] += (k - 1) * self._deg * x ** (k - 2)
         return jac
@@ -251,13 +234,13 @@ class SpectralResult:
     upper: float
 
 
-def txk(t: ImplicitTensor, x) -> float:
+def txk(t: AdjacencyTensor, x) -> float:
     """The homogeneous form T x^k = x . (T x^{k-1})."""
     arr = t._check_vector(x)
     return float(arr @ t.apply(arr))
 
 
-def s_ratios(t: ImplicitTensor, x) -> np.ndarray:
+def s_ratios(t: AdjacencyTensor, x) -> np.ndarray:
     """Collatz-Wielandt ratios (T x^{k-1})_i / x_i^{k-1} for finite positive x."""
     arr = t._check_vector(x)
     if not np.all(np.isfinite(arr) & (arr > 0)):
@@ -265,14 +248,14 @@ def s_ratios(t: ImplicitTensor, x) -> np.ndarray:
     return t.apply(arr) / arr ** (t.order - 1)
 
 
-def rho_bounds(t: ImplicitTensor) -> tuple[float, float]:
+def rho_bounds(t: AdjacencyTensor) -> tuple[float, float]:
     """(min row sum, max row sum); both bound the spectral radius, with
     equality exactly when all row sums agree (weakly irreducible case)."""
     rs = t.row_sums()
     return float(rs.min()), float(rs.max())
 
 
-def weakly_irreducible(t: ImplicitTensor) -> bool:
+def weakly_irreducible(t: AdjacencyTensor) -> bool:
     """True when the digraph carried by the nonzero pattern (arc i -> j for
     every positive entry with first index i and j among the others) is
     strongly connected.
@@ -384,7 +367,7 @@ class _AndersonMixer:
         return g
 
 
-def _bracketed_iteration(t: ImplicitTensor, tol: float, max_iter: int):
+def _bracketed_iteration(t: AdjacencyTensor, tol: float, max_iter: int):
     """The loop behind power_iteration_rho. Returns (x, iterations, lower,
     upper, converged) with the bracket of the ratios shifted by 1."""
     k, n = t.order, t.dim
@@ -426,7 +409,7 @@ def _bracketed_iteration(t: ImplicitTensor, tol: float, max_iter: int):
 
 
 def power_iteration_rho(
-    t: ImplicitTensor, tol: float = 1e-10, max_iter: int = 1_000_000
+    t: AdjacencyTensor, tol: float = 1e-10, max_iter: int = 1_000_000
 ) -> SpectralResult:
     """Spectral radius of the tensor of a connected hypergraph.
 
@@ -464,7 +447,7 @@ def power_iteration_rho(
     )
 
 
-def check_subsolution(t: ImplicitTensor, y, mu: float) -> str:
+def check_subsolution(t: AdjacencyTensor, y, mu: float) -> str:
     """Compare T y^{k-1} against mu * y^{[k-1]} coordinatewise.
 
     Returns "strictly-below" when <= holds everywhere with < somewhere

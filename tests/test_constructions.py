@@ -1,6 +1,7 @@
 import pytest
 
 from hypergraph_spectra import (
+    MAX_VERTICES,
     Hypergraph,
     SimpleGraph,
     canonical_form,
@@ -194,6 +195,11 @@ class TestSubdivide:
     def test_missing_edge_raises(self):
         with pytest.raises(ValueError):
             subdivide(path_graph(3), 0, 2)
+
+    def test_refuses_more_vertices_than_a_file_may_declare(self):
+        # The result could be written but not read back.
+        with pytest.raises(ValueError, match=f"{MAX_VERTICES + 1} vertices exceed the limit"):
+            subdivide(SimpleGraph(MAX_VERTICES, ((0, 1),)), 0, 1)
 
 
 class TestInternalPathEdges:

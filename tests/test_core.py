@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 import re
 
@@ -57,6 +59,10 @@ class TestSimpleGraph:
         with pytest.raises(ValueError):
             SimpleGraph(0, ())
 
+    def test_refusal_names_the_edge(self):
+        with pytest.raises(ValueError, match=re.escape("edge (1, 1) is not a set of 2 distinct vertices")):
+            SimpleGraph(3, ((1, 1),))
+
     def test_isolated_vertices_allowed(self):
         g = SimpleGraph(4, ((0, 1),))
         assert g.n == 4 and g.m == 1
@@ -64,7 +70,8 @@ class TestSimpleGraph:
     def test_is_a_two_uniform_hypergraph(self):
         g = SimpleGraph(4, ((3, 1), (0, 2), (2, 1)))
         assert g.k == SimpleGraph.k == 2
-        assert "k" not in {f.name for f in dataclasses.fields(SimpleGraph)}
+        assert isinstance(g, Hypergraph)
+        assert [f.name for f in dataclasses.fields(SimpleGraph)] == ["k", "n", "edges"]
         assert g.edge_array.tolist() == [[0, 2], [1, 2], [1, 3]]
         assert g.edge_array.dtype == np.intp
         np.testing.assert_array_equal(g.edge_array, Hypergraph(2, 4, g.edges).edge_array)
@@ -162,6 +169,32 @@ class TestHypergraphFromArray:
     def test_wrong_shape_or_dtype_refused(self, rows):
         with pytest.raises(ValueError, match="edge array"):
             Hypergraph(3, 5, rows)
+
+
+class TestCopies:
+    COPIERS = [
+        lambda h: pickle.loads(pickle.dumps(h)),
+        copy.deepcopy,
+        copy.copy,
+    ]
+    CONTAINERS = [
+        lambda: SimpleGraph(4, ((3, 1), (0, 2), (2, 1))),
+        lambda: SimpleGraph(4, np.array([[3, 1], [0, 2], [2, 1]])),
+        lambda: Hypergraph(3, 5, ((4, 2, 0), (3, 1, 0))),
+        lambda: Hypergraph(3, 5, np.array([[4, 2, 0], [3, 1, 0]])),
+    ]
+
+    @pytest.mark.parametrize("copier", COPIERS, ids=["pickle", "deepcopy", "copy"])
+    @pytest.mark.parametrize("build", CONTAINERS, ids=["graph", "graph-array", "hyper", "hyper-array"])
+    def test_copy_has_an_equal_read_only_edge_array(self, copier, build):
+        h = build()
+        h.edge_array  # cached before copying
+        h2 = copier(h)
+        assert type(h2) is type(h) and h2 == h and hash(h2) == hash(h)
+        np.testing.assert_array_equal(h2.edge_array, h.edge_array)
+        with pytest.raises(ValueError):
+            h2.edge_array[0, 0] = 3
+        assert is_connected(h2) == is_connected(h)
 
 
 class TestDegree:
