@@ -8,7 +8,8 @@ edge are legal; an empty vertex set is not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -96,7 +97,12 @@ class Hypergraph:
         seen: set[tuple[int, ...]] = set()
         canon = []
         for row, e in enumerate(self.edges):
-            se = tuple(sorted(e))
+            try:
+                # operator.index refuses floats and strings, and turns numpy
+                # integers into ints as the array path does.
+                se = tuple(sorted(map(operator.index, e)))
+            except TypeError:
+                raise _RefusedEdge(self._refusal(e), row) from None
             distinct = len(se) == self.k == len(set(se))
             if not (distinct and 0 <= se[0] and se[-1] < self.n) or se in seen:
                 raise _RefusedEdge(self._refusal(e), row)
@@ -107,7 +113,10 @@ class Hypergraph:
     def _refusal(self, e: tuple) -> str:
         """Why e is refused, given that it is: not a k-set of distinct
         vertices, out of range, or else the repeat of an earlier edge."""
-        se = tuple(sorted(e))
+        try:
+            se = tuple(sorted(map(operator.index, e)))
+        except TypeError:
+            return f"edge {e!r} is not a set of integer vertices"
         if len(se) != self.k or len(set(se)) != self.k:
             return f"edge {e!r} is not a set of {self.k} distinct vertices"
         if se[0] < 0 or se[-1] >= self.n:
@@ -131,14 +140,12 @@ class Hypergraph:
         return state
 
 
+@dataclass(frozen=True)
 class SimpleGraph(Hypergraph):
     """Undirected simple graph on vertices 0..n-1: the 2-uniform
     Hypergraph, so the tensors of order k = 2 take it as their hypergraph."""
 
-    k = 2
-
-    def __init__(self, n: int, edges=()):
-        Hypergraph.__init__(self, 2, n, edges)
+    k: int = field(default=2, init=False)
 
     def adjacency_lists(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]

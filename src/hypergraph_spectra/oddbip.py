@@ -3,15 +3,17 @@
 A hypergraph with even edge size k is odd-bipartite when its vertices split
 into two classes such that every edge meets both in odd cardinality. Since k
 is even the two conditions coincide, so the search is a single linear system
-over GF(2): one parity row per edge, right-hand side all ones.
+over GF(2): one parity row per edge, right-hand side all ones. A graph is
+the 2-uniform hypergraph, and an edge {u, v} meets a class oddly exactly
+when u and v lie on different sides, so a graph's bipartiteness is the
+k = 2 case of the same solve.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .core import Bipartition, Hypergraph, SimpleGraph
+from .core import Bipartition, Hypergraph
 
 __all__ = [
     "ParitySystem",
@@ -88,30 +90,12 @@ def gf2_solve(system: ParitySystem) -> int | None:
     return x
 
 
-def is_bipartite(g: SimpleGraph) -> Bipartition | None:
-    """A proper 2-coloring of g as a Bipartition, or None if an odd cycle
-    exists. Isolated vertices land in the class of their component root."""
-    color = [-1] * g.n
-    adj = g.adjacency_lists()
-    for root in range(g.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None
-    part_one = frozenset(v for v in range(g.n) if color[v] == 0)
-    b = Bipartition(part_one, frozenset(range(g.n)) - part_one)
-    for u, v in g.edges:  # re-verify the certificate by edge scan
-        if (u in b.part_one) == (v in b.part_one):
-            raise RuntimeError("invalid 2-coloring produced")
-    return b
+def is_bipartite(g: Hypergraph) -> Bipartition | None:
+    """A proper 2-coloring of the graph g as a Bipartition, or None if an
+    odd cycle exists: odd_bipartition at k = 2, with its checked certificate."""
+    if g.k != 2:
+        raise ValueError(f"bipartiteness is the k = 2 case, got k = {g.k}")
+    return odd_bipartition(g)
 
 
 def odd_bipartition(h: Hypergraph) -> Bipartition | None:

@@ -132,7 +132,7 @@ class TestReportCommands:
         out = str(tmp_path / "r.csv")
         code = run_cli(["minrho", "--n", "4", "--format", "csv", "--out", out])
         assert code == 0
-        rows = list(csv.reader((tmp_path / "r.csv").open()))
+        rows = list(csv.reader((tmp_path / "r.csv").read_text().splitlines()))
         assert rows[0] == ["n", "operator", "rho_min", "argmin_edges"]
         assert rows[1][2].startswith("2.170086486")  # tol-limited digits
         assert ["check", "verdict", "tolerance"] in rows

@@ -79,6 +79,29 @@ class TestSimpleGraph:
             g.edge_array[0, 0] = 1
         assert SimpleGraph(3).edge_array.shape == (0, 2)
 
+    def test_replace(self):
+        g = SimpleGraph(3, ((0, 1),))
+        assert dataclasses.replace(g, n=4) == SimpleGraph(4, ((0, 1),))
+        with pytest.raises(ValueError):
+            dataclasses.replace(g, k=3)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda e: Hypergraph(2, 3, e), lambda e: SimpleGraph(3, e)], ids=["Hypergraph", "SimpleGraph"]
+)
+class TestVertexTypes:
+    @pytest.mark.parametrize("bad", [0.5, 1.0, "1", None])
+    def test_refuses_non_integer_vertex(self, make, bad):
+        with pytest.raises(ValueError, match="not a set of integer vertices") as info:
+            make(((1, 2), (bad, 2)))
+        assert info.value.row == 1
+
+    def test_numpy_integers_stored_as_ints(self, make):
+        g = make(((np.int64(2), np.int32(0)), (np.uint8(1), 2)))
+        assert g.edges == ((0, 2), (1, 2))
+        assert all(type(v) is int for e in g.edges for v in e)
+        assert g == make(np.array([[2, 0], [1, 2]]))
+
 
 class TestHypergraph:
     def test_edges_sorted_inside_and_across(self):

@@ -58,6 +58,21 @@ class TestCodes:
             code = rng.randrange(1 << 15)  # n = 6
             assert canonical_code(6, code) <= code
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_canonical_code_is_min_over_relabelings(self, n):
+        # Every code, disconnected ones included, against a pure-Python
+        # minimum: bit b of a code moves to the bit of its permuted pair.
+        pairs = list(itertools.combinations(range(n), 2))
+        index = {pair: b for b, pair in enumerate(pairs)}
+        moves = [
+            [index[tuple(sorted((p[u], p[v])))] for u, v in pairs]
+            for p in itertools.permutations(range(n))
+        ]
+        for code in range(1 << len(pairs)):
+            ones = [b for b in range(len(pairs)) if code >> b & 1]
+            brute = min(sum(1 << move[b] for b in ones) for move in moves)
+            assert canonical_code(n, code) == brute, (n, code)
+
     @pytest.mark.parametrize("code", [1 << 3, 1 << 10, -1])
     def test_code_out_of_range_rejected(self, code):
         with pytest.raises(ValueError, match="code out of range"):

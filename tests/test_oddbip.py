@@ -199,6 +199,30 @@ class TestIsBipartite:
         assert b is not None
         assert b.part_one | b.part_two == set(range(5))
 
+    def test_refuses_edges_of_size_other_than_two(self):
+        h, _ = generalized_power(cycle_graph(4), 4, 2)
+        with pytest.raises(ValueError):
+            is_bipartite(h)
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw) -> SimpleGraph:
+    """A graph on 1-9 vertices with any edge set, connected or not."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return SimpleGraph(n, tuple(draw(st.sets(st.sampled_from(pairs)))) if pairs else ())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graphs_with_isolated_vertices())
+def test_is_bipartite_matches_split_search(g):
+    # At k = 2 the split search of brute_odd_bipartite is a 2-colouring search.
+    b = is_bipartite(g)
+    assert (b is not None) == brute_odd_bipartite(g)
+    if b is not None:
+        assert b.part_one | b.part_two == frozenset(range(g.n))
+        assert all((u in b.part_one) != (v in b.part_one) for u, v in g.edges)
+
 
 class TestOddBipartition:
     def test_blown_up_cycles_follow_length_parity(self):
