@@ -27,7 +27,6 @@ import sys
 from pathlib import Path
 
 from .constructions import generalized_power, s_cycle, s_path, subdivide
-from .core import check_solver_controls
 from .experiments import (
     MATRIX_RHO,
     ExperimentReport,
@@ -57,51 +56,59 @@ __all__ = ["run_cli", "main"]
 _TENSORS = {"adjacency": AdjacencyTensor, "signless-laplacian": SignlessLaplacianTensor}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error: run_cli prints it as one `error:` line
+        raise ValueError(message)
+
+
 @functools.cache  # built once per process: in-process callers run many jobs
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-10, help="bracket tolerance")
-    common.add_argument("--max-iter", type=int, default=1_000_000, help="iteration cap")
-    common.add_argument("--in", dest="infile", metavar="FILE", help="input file")
-    common.add_argument("--out", dest="outfile", metavar="FILE", help="output file (default stdout)")
-    common.add_argument("--format", choices=("csv", "text"), default="text", help="report format")
-    common.add_argument("--big", action="store_true", help="allow n=8 (11117 classes, seconds)")
+    # Small parents, so each subcommand takes only the flags it reads.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", dest="outfile", metavar="FILE", help="output file (default stdout)")
+    infile = argparse.ArgumentParser(add_help=False)
+    infile.add_argument("--in", dest="infile", metavar="FILE", required=True, help="input file")
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--tol", type=float, default=1e-10, help="bracket tolerance")
+    solver.add_argument("--max-iter", type=int, default=1_000_000, help="iteration cap")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=("csv", "text"), default="text", help="report format")
 
-    parser = argparse.ArgumentParser(prog="hgspectra", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="hgspectra", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("power", parents=[common], help="blow a graph up into a hypergraph")
+    p = sub.add_parser("power", parents=[out, infile], help="blow a graph up into a hypergraph")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
 
     for name in ("spath", "scycle"):
-        p = sub.add_parser(name, parents=[common], help=f"write a loose {name[1:]}")
+        p = sub.add_parser(name, parents=[out], help=f"write a loose {name[1:]}")
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--s", type=int, required=True)
         p.add_argument("--d", type=int, required=True, help="number of edges")
 
-    sub.add_parser("oddbip", parents=[common], help="decide odd-bipartiteness")
+    sub.add_parser("oddbip", parents=[out, infile], help="decide odd-bipartiteness")
 
-    rho_help = {"rho": "tensor spectral radius", "bounds": "row-sum radius bounds"}
-    for name in ("rho", "bounds"):
-        p = sub.add_parser(name, parents=[common], help=rho_help[name])
-        p.add_argument("--operator", choices=sorted(_TENSORS), required=True)
+    p = sub.add_parser("rho", parents=[out, infile, solver], help="tensor spectral radius")
+    p.add_argument("--operator", choices=sorted(_TENSORS), required=True)
+    p = sub.add_parser("bounds", parents=[out, infile], help="row-sum radius bounds")
+    p.add_argument("--operator", choices=sorted(_TENSORS), required=True)
 
-    p = sub.add_parser("subdivide", parents=[common], help="subdivide one edge")
+    p = sub.add_parser("subdivide", parents=[out, infile], help="subdivide one edge")
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--w", type=int, required=True)
 
-    p = sub.add_parser("minrho", parents=[common], help="extremal non-bipartite graphs")
+    p = sub.add_parser("minrho", parents=[out, solver, report], help="extremal non-bipartite graphs")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--operator", choices=sorted(MATRIX_RHO), default="adjacency")
 
-    p = sub.add_parser("limitpoints", parents=[common], help="beta_n / alpha_n table")
+    p = sub.add_parser("limitpoints", parents=[out, report], help="beta_n / alpha_n table")
     p.add_argument("--n-max", type=int, required=True)
 
-    p = sub.add_parser("converge", parents=[common], help="pendant odd cycle sequence")
+    p = sub.add_parser("converge", parents=[out, solver, report], help="pendant odd cycle sequence")
     p.add_argument("--n-max", type=int, required=True)
 
-    p = sub.add_parser("verify-nob", parents=[common], help="blow-up parity check")
+    p = sub.add_parser("verify-nob", parents=[out, report], help="blow-up parity check")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--k", type=int, action="append", help="edge size (repeatable; default 4 and 6)")
 
@@ -115,9 +122,7 @@ def _emit(text: str, outfile: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _read(infile: str | None) -> str:
-    if not infile:
-        raise ParseError("an --in file is required")
+def _read(infile: str) -> str:
     return Path(infile).read_text(encoding="ascii")
 
 
@@ -182,9 +187,7 @@ def _cmd_subdivide(args) -> int:
 
 
 def _cmd_minrho(args) -> int:
-    rho, graphs = min_rho_search(
-        args.n, operator=args.operator, tol=args.tol, big=args.big, max_iter=args.max_iter
-    )
+    rho, graphs = min_rho_search(args.n, args.operator, args.tol, args.max_iter)
     report = ExperimentReport(
         name="minimum spectral radius over connected non-bipartite graphs",
         params={"n": args.n, "operator": args.operator},
@@ -201,7 +204,7 @@ def _cmd_minrho(args) -> int:
 
 
 def _cmd_limitpoints(args) -> int:
-    table = limit_point_table(args.n_max, tol=args.tol)
+    table = limit_point_table(args.n_max)
     alphas = [row[2] for row in table.rows]
     report = ExperimentReport(
         name="limit point sequence alpha_n",
@@ -212,7 +215,7 @@ def _cmd_limitpoints(args) -> int:
             ReportCheck(
                 "alpha_n strictly increasing",
                 all(a < b for a, b in zip(alphas, alphas[1:])),
-                f"roots bisected to {args.tol:g} or machine precision",
+                "roots bisected to width 1e-15",
             ),
             ReportCheck(
                 "every alpha_n below sqrt(2 + sqrt(5))",
@@ -230,7 +233,7 @@ def _cmd_converge(args) -> int:
 
 def _cmd_verify_nob(args) -> int:
     ks = tuple(args.k) if args.k else (4, 6)
-    return _emit_report(verify_theorem_nob(args.n_max, ks=ks, big=args.big), args)
+    return _emit_report(verify_theorem_nob(args.n_max, ks=ks), args)
 
 
 _COMMANDS = {
@@ -250,16 +253,11 @@ _COMMANDS = {
 
 def run_cli(argv: list[str] | None = None) -> int:
     """Parse argv and run one subcommand; returns the exit status."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        # Every subcommand takes --tol and --max-iter; reject bad ones even
-        # where the subcommand would not use them.
-        check_solver_controls(args.tol, args.max_iter)
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # --help prints to stdout and exits 0
+        return int(exc.code or 0)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -76,6 +76,12 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
+        try:
+            # As for vertices: refuse floats and strings, store numpy integers as ints.
+            object.__setattr__(self, "k", operator.index(self.k))
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValueError(f"k and n must be integers, got k={self.k!r}, n={self.n!r}") from None
         if self.k < 2:
             raise ValueError("edge size k must be at least 2")
         if self.n < 1:
@@ -214,7 +220,7 @@ def is_connected(h: Hypergraph) -> bool:
 _MIN_TOL = 1e-14
 
 
-def check_solver_controls(tol: float, max_iter: int = 1) -> None:
+def check_solver_controls(tol: float, max_iter: int) -> None:
     """Reject an iteration's controls unless tol is in [1e-14, 1) and
     max_iter is at least 1. A NaN or infinite tol would otherwise make
     every stopping test fail or pass at once, and a tol below what doubles

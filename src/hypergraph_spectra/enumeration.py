@@ -9,7 +9,7 @@ every nonempty neighbour set of every smaller class reaches every class.
 Each child's canonical code is a minimum over a table of permuted codes,
 and a set drops the repeats.
 
-n = 8 (11117 classes) is gated behind big=True; it takes seconds where
+Orders 1..8 are supported: n = 8 (11117 classes) takes seconds where
 n <= 7 takes a fraction of one.
 """
 
@@ -33,7 +33,7 @@ __all__ = [
     "enumerate_connected_nonbipartite",
 ]
 
-_BIG_N = 8
+_MAX_N = 8
 # Words of scratch an augmentation step reduces at once: 2^18 int32 words
 # (1 MB) stay in cache, where one (sets, permutations) array would not.
 _BLOCK_WORDS = 1 << 18
@@ -79,8 +79,7 @@ def _perm_bit_tables(n: int) -> np.ndarray:
 def canonical_code(n: int, code: int) -> int:
     """Smallest code among all relabelings: a complete isomorphism invariant
     for graphs small enough to enumerate permutations (n <= 8)."""
-    if not 1 <= n <= _BIG_N:
-        raise ValueError(f"n out of supported range: need 1 <= n <= {_BIG_N}")
+    _check_range(n, 1)
     bits = _perm_bit_tables(n)
     if not 0 <= code < (1 << len(bits)):
         raise ValueError("code out of range")
@@ -134,24 +133,22 @@ def _connected_class_codes(n: int) -> tuple[int, ...]:
     return _augmented_class_codes(n)
 
 
-def _check_range(n: int, big: bool, lo: int) -> None:
-    if not lo <= n <= _BIG_N:
-        raise ValueError(f"n out of supported range: need {lo} <= n <= {_BIG_N}")
-    if n == _BIG_N and not big:
-        raise ValueError("n = 8 takes seconds (11117 classes); pass big=True (--big) to allow it")
+def _check_range(n: int, lo: int) -> None:
+    if not lo <= n <= _MAX_N:
+        raise ValueError(f"n out of supported range: need {lo} <= n <= {_MAX_N}")
 
 
-def enumerate_connected_graphs(n: int, big: bool = False) -> list[SimpleGraph]:
+def enumerate_connected_graphs(n: int) -> list[SimpleGraph]:
     """One canonical representative per isomorphism class of connected
     graphs on n vertices, in increasing code order."""
-    _check_range(n, big, 1)
+    _check_range(n, 1)
     return [graph_from_code(n, c) for c in _connected_class_codes(n)]
 
 
-def enumerate_connected_nonbipartite(n: int, big: bool = False) -> Iterator[SimpleGraph]:
+def enumerate_connected_nonbipartite(n: int) -> Iterator[SimpleGraph]:
     """One canonical representative per isomorphism class of connected
     non-bipartite graphs on n vertices, in increasing code order."""
-    _check_range(n, big, 3)
+    _check_range(n, 3)
     for code in _connected_class_codes(n):
         g = graph_from_code(n, code)
         if is_bipartite(g) is None:

@@ -111,16 +111,11 @@ def _degree_bound(operator: str, g: SimpleGraph) -> float:
 
 
 def min_rho_search(
-    n: int,
-    operator: str = "adjacency",
-    tol: float = 1e-10,
-    big: bool = False,
-    max_iter: int = 1_000_000,
+    n: int, operator: str = "adjacency", tol: float = 1e-10, max_iter: int = 1_000_000
 ) -> tuple[float, list[SimpleGraph]]:
     """Minimum spectral radius over connected non-bipartite graphs on n
     vertices, with every minimizer (ties within 10*tol) as a canonical
-    representative, in code order. Supported for 4 <= n <= 7, n = 8 behind
-    big=True.
+    representative, in code order. Supported for 4 <= n <= 8.
 
     Classes are solved in increasing order of their degree bound L (ties in
     code order), and the search stops at the first class with
@@ -140,7 +135,7 @@ def min_rho_search(
         raise ValueError(f"unknown operator {operator!r}")
     check_solver_controls(tol, max_iter)
     rho_fn = MATRIX_RHO[operator]
-    graphs = list(enumerate_connected_nonbipartite(n, big=big))
+    graphs = list(enumerate_connected_nonbipartite(n))
     bounds = [_degree_bound(operator, g) for g in graphs]
     solved: list[tuple[int, float]] = []
     best = math.inf
@@ -155,7 +150,7 @@ def min_rho_search(
     return best, argmin
 
 
-def verify_theorem_nob(n_max: int, ks=(4, 6), big: bool = False) -> ExperimentReport:
+def verify_theorem_nob(n_max: int, ks=(4, 6)) -> ExperimentReport:
     """Check, class by class, that the k/2 blow-up of a connected graph is
     odd-bipartite exactly when the base graph is bipartite.
 
@@ -174,7 +169,7 @@ def verify_theorem_nob(n_max: int, ks=(4, 6), big: bool = False) -> ExperimentRe
     )
     total_mismatches = 0
     for n in range(3, n_max + 1):
-        classes = enumerate_connected_graphs(n, big=big)
+        classes = enumerate_connected_graphs(n)
         bips = [is_bipartite(g) is not None for g in classes]
         for k in ks:
             mism = sum(

@@ -15,10 +15,11 @@ alpha_n = beta_n^{1/2} + beta_n^{-1/2} climbs strictly to the threshold.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .constructions import cycle_plus_pendant
-from .core import Hypergraph, check_solver_controls
+from .core import Hypergraph
 from .tensors import AdjacencyTensor, SignlessLaplacianTensor, SpectralResult, power_iteration_rho
 
 __all__ = [
@@ -67,17 +68,20 @@ def _converged_rho(result: SpectralResult) -> float:
     return result.rho
 
 
-def beta_n(n: int, tol: float = 1e-12) -> float:
+def beta_n(n: int) -> float:
     """Positive root of P_n(x) = x^{n+1} - (1 + x + ... + x^{n-1}) in (1, 2].
 
     For n = 1 the root is exactly 1. For larger n, bisection runs on the
     rescaled form (x - 1) P_n(x) / x^n = (x^2 - x - 1) + x^{-n}, whose slope
-    stays O(1) near the root, and continues past tol down to machine
-    precision since steps are cheap.
+    stays O(1) near the root, down to width 1e-15 or until the midpoint
+    stops moving.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"index must be an integer, got {n!r}") from None
     if n < 1:
         raise ValueError("index must be at least 1")
-    check_solver_controls(tol)
     if n == 1:
         return 1.0
 
@@ -85,7 +89,7 @@ def beta_n(n: int, tol: float = 1e-12) -> float:
         return (x * x - x - 1.0) + x ** (-n)
 
     lo, hi = 1.0, 2.0  # P_n(1) = 1 - n < 0 and P_n(2) = 2^n + 1 > 0
-    while hi - lo > min(tol, 1e-15):
+    while hi - lo > 1e-15:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -99,9 +103,9 @@ def beta_n(n: int, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def alpha_n(n: int, tol: float = 1e-12) -> float:
+def alpha_n(n: int) -> float:
     """alpha_n = beta_n^{1/2} + beta_n^{-1/2}; alpha_1 = 2 exactly."""
-    root = math.sqrt(beta_n(n, tol))
+    root = math.sqrt(beta_n(n))
     return root + 1.0 / root
 
 
@@ -118,18 +122,13 @@ class LimitPointTable:
     threshold: float
 
 
-def limit_point_table(n_max: int, tol: float = 1e-12) -> LimitPointTable:
+def limit_point_table(n_max: int) -> LimitPointTable:
     """Tabulate beta_n and alpha_n up to n_max (capped at 64, past which
     consecutive values collide in double precision)."""
     if not 1 <= n_max <= _MAX_LIMIT_INDEX:
         raise ValueError(f"n_max must be in 1..{_MAX_LIMIT_INDEX}")
-    threshold = tau_threshold()
-    rows = []
-    for n in range(1, n_max + 1):
-        b = beta_n(n, tol)
-        a = alpha_n(n, tol)
-        rows.append((n, b, a))
-    return LimitPointTable(tuple(rows), threshold)
+    rows = tuple((n, beta_n(n), alpha_n(n)) for n in range(1, n_max + 1))
+    return LimitPointTable(rows, tau_threshold())
 
 
 def pendant_cycle_rho_sequence(

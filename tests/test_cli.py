@@ -1,3 +1,4 @@
+import argparse
 import csv
 import time
 
@@ -16,6 +17,7 @@ from hypergraph_spectra import (
     serialize_graph,
     serialize_hypergraph,
 )
+from hypergraph_spectra.cli import _build_parser
 
 
 def write_graph(tmp_path, g: SimpleGraph, name="g.txt") -> str:
@@ -202,6 +204,11 @@ class TestHostileControls:
             ["verify-nob", "--n-max", "3", "--tol", "inf"],
             ["limitpoints", "--n-max", "3", "--max-iter", "0"],
             ["spath", "--k", "4", "--s", "2", "--d", "1", "--tol", "nan"],
+            ["minrho", "--n", "5", "--big"],
+            ["rho", "--operator", "adjacency", "--in", "x", "--format", "csv"],
+            ["spath", "--k", "4", "--s", "2", "--d", "1", "--in", "x"],
+            ["limitpoints", "--n-max", "3", "--tol", "1e-10"],
+            ["bounds", "--operator", "adjacency", "--in", "x", "--max-iter", "5"],
         ],
     )
     def test_controls_rejected_where_unused(self, capsys, argv):
@@ -307,15 +314,71 @@ class TestHostileControls:
         assert "memory" in captured.err
 
 
+SOLVER, REPORT = {"--tol", "--max-iter"}, {"--format"}
+# The flags each subcommand takes besides --out, which all of them take.
+FLAGS = {
+    "power": {"--in", "--k", "--s"},
+    "spath": {"--k", "--s", "--d"},
+    "scycle": {"--k", "--s", "--d"},
+    "oddbip": {"--in"},
+    "rho": {"--in", "--operator"} | SOLVER,
+    "bounds": {"--in", "--operator"},
+    "subdivide": {"--in", "--u", "--w"},
+    "minrho": {"--n", "--operator"} | SOLVER | REPORT,
+    "limitpoints": {"--n-max"} | REPORT,
+    "converge": {"--n-max"} | SOLVER | REPORT,
+    "verify-nob": {"--n-max", "--k"} | REPORT,
+}
+
+
+def assert_one_usage_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
 class TestUsage:
-    def test_no_command(self):
+    def test_no_command(self, capsys):
         assert run_cli([]) == 2
+        assert_one_usage_line(capsys)
 
-    def test_unknown_command(self):
+    def test_unknown_command(self, capsys):
         assert run_cli(["zap"]) == 2
+        assert_one_usage_line(capsys)
 
-    def test_missing_required_option(self):
+    def test_missing_required_option(self, capsys):
         assert run_cli(["spath", "--k", "4", "--s", "2"]) == 2
+        assert capsys.readouterr().err == "error: the following arguments are required: --d\n"
+
+    def test_unparsable_value(self, capsys):
+        assert run_cli(["rho", "--operator", "adjacency", "--in", "x", "--tol", "abc"]) == 2
+        assert_one_usage_line(capsys)
+
+    def test_bad_choice(self, capsys):
+        assert run_cli(["minrho", "--n", "5", "--operator", "laplacian"]) == 2
+        assert_one_usage_line(capsys)
+
+    def test_foreign_flag_is_named(self, capsys):
+        assert run_cli(["verify-nob", "--n-max", "3", "--tol", "nan"]) == 2
+        assert capsys.readouterr().err == "error: unrecognized arguments: --tol nan\n"
+
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        taken = {
+            name: {f for a in p._actions for f in a.option_strings if f not in ("-h", "--help")}
+            for name, p in sub.choices.items()
+        }
+        assert taken == {name: flags | {"--out"} for name, flags in FLAGS.items()}
+        assert sum(map(len, taken.values())) == 44
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_help_exits_zero_on_stdout(self, capsys, command):
+        assert run_cli([command, "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: hgspectra {command}")
+        assert "--out" in captured.out
+        assert captured.err == ""
 
     def test_missing_input_file(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.txt")

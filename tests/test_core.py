@@ -103,6 +103,35 @@ class TestVertexTypes:
         assert g == make(np.array([[2, 0], [1, 2]]))
 
 
+class TestSizeTypes:
+    @pytest.mark.parametrize("bad", [3.5, 3.0, "3", None])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda bad: Hypergraph(bad, 3),
+            lambda bad: Hypergraph(2, bad, ((0, 1), (1, 2))),
+            lambda bad: SimpleGraph(bad, ((0, 1), (1, 2))),
+            lambda bad: dataclasses.replace(SimpleGraph(3), n=bad),
+        ],
+        ids=["Hypergraph-k", "Hypergraph-n", "SimpleGraph-n", "replace-n"],
+    )
+    def test_refuses_non_integer_size(self, make, bad):
+        with pytest.raises(ValueError, match=re.escape(f"{bad!r}")):
+            make(bad)
+
+    def test_message_names_both_values(self):
+        with pytest.raises(ValueError, match=r"k=2, n=3\.5"):
+            Hypergraph(2, 3.5, ((0, 1), (1, 2), (2, 3)))
+
+    @pytest.mark.parametrize("itype", [np.int64, np.int32, np.uint8])
+    def test_numpy_integers_stored_as_ints(self, itype):
+        h = Hypergraph(itype(4), itype(5), ((0, 1, 2, 3),))
+        g = SimpleGraph(itype(3), ((0, 1),))
+        assert (h.k, h.n, g.k, g.n) == (4, 5, 2, 3)
+        assert all(type(v) is int for v in (h.k, h.n, g.k, g.n))
+        assert h == Hypergraph(4, 5, ((0, 1, 2, 3),))
+
+
 class TestHypergraph:
     def test_edges_sorted_inside_and_across(self):
         h = Hypergraph(3, 5, ((4, 2, 0), (3, 1, 0)))

@@ -121,10 +121,6 @@ class TestEnumerateConnected:
         with pytest.raises(ValueError):
             enumerate_connected_graphs(9)
 
-    def test_large_size_needs_opt_in(self):
-        with pytest.raises(ValueError):
-            enumerate_connected_graphs(8)
-
 
 class TestAugmentationMatchesScan:
     @pytest.mark.parametrize("n", range(1, 8))
@@ -168,7 +164,7 @@ def test_unicyclic_class_counts(n):
 
 class TestEightVertices:
     def test_class_and_bipartite_counts(self):
-        graphs = enumerate_connected_graphs(8, big=True)
+        graphs = enumerate_connected_graphs(8)
         assert len(graphs) == 11117  # OEIS A001349
         assert sum(is_bipartite(g) is not None for g in graphs) == 182  # OEIS A005142
 

@@ -112,12 +112,12 @@ class TestEightVertices:
 
     @pytest.mark.parametrize("operator, oracle", ORACLES)
     def test_pendant_heptagon_is_the_unique_minimiser(self, operator, oracle):
-        best, argmin = min_rho_search(8, operator=operator, tol=1e-9, big=True)
+        best, argmin = min_rho_search(8, operator=operator, tol=1e-9)
         assert argmin == [canonical_form(cycle_plus_pendant(8))]
         assert abs(best - oracle(cycle_plus_pendant(8))) <= 1e-8
 
     def test_blow_up_parity_has_no_mismatch(self):
-        report = verify_theorem_nob(8, big=True)
+        report = verify_theorem_nob(8)
         assert report.passed
         assert report.rows[-2:] == [(8, 4, 11117, 182, 0), (8, 6, 11117, 182, 0)]
 

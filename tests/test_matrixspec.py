@@ -218,17 +218,14 @@ class TestBetaRoots:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             beta_n(0)
-        with pytest.raises(ValueError):
-            beta_n(3, tol=0.0)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 1.0])
-    def test_rejects_nonfinite_or_large_tol(self, tol):
-        with pytest.raises(ValueError, match="tol"):
-            beta_n(3, tol=tol)
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+    def test_rejects_non_integer_index(self, n):
+        with pytest.raises(ValueError, match="integer"):
+            beta_n(n)
 
-    def test_rejects_tol_below_double_resolution(self):
-        with pytest.raises(ValueError, match="tol"):
-            beta_n(3, tol=1e-300)
+    def test_numpy_integer_index(self):
+        assert beta_n(np.int64(5)) == beta_n(5)
 
 
 class TestAlphaSequence:
