@@ -155,11 +155,12 @@ def verify_theorem_nob(n_max: int, ks=(4, 6)) -> ExperimentReport:
     odd-bipartite exactly when the base graph is bipartite.
 
     Runs over every connected isomorphism class on 3..n_max vertices and
-    every even k in ks. The single check demands zero mismatches.
+    every even k in ks, a repeated k counted once. The single check
+    demands zero mismatches.
     """
     if not 3 <= n_max <= 8:
         raise ValueError("n_max out of supported range: need 3 <= n_max <= 8")
-    ks = tuple(ks)
+    ks = tuple(dict.fromkeys(ks))
     if not ks or any(k % 2 or k < 4 for k in ks):
         raise ValueError("each k must be even and at least 4")
     report = ExperimentReport(

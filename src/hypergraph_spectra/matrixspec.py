@@ -105,7 +105,11 @@ def beta_n(n: int) -> float:
 
 def alpha_n(n: int) -> float:
     """alpha_n = beta_n^{1/2} + beta_n^{-1/2}; alpha_1 = 2 exactly."""
-    root = math.sqrt(beta_n(n))
+    return _alpha(beta_n(n))
+
+
+def _alpha(beta: float) -> float:
+    root = math.sqrt(beta)
     return root + 1.0 / root
 
 
@@ -127,7 +131,8 @@ def limit_point_table(n_max: int) -> LimitPointTable:
     consecutive values collide in double precision)."""
     if not 1 <= n_max <= _MAX_LIMIT_INDEX:
         raise ValueError(f"n_max must be in 1..{_MAX_LIMIT_INDEX}")
-    rows = tuple((n, beta_n(n), alpha_n(n)) for n in range(1, n_max + 1))
+    betas = [beta_n(n) for n in range(1, n_max + 1)]
+    rows = tuple((n, beta, _alpha(beta)) for n, beta in enumerate(betas, start=1))
     return LimitPointTable(rows, tau_threshold())
 
 

@@ -21,17 +21,21 @@ iteration (Ng, Qi and Zhou, SIAM J. Matrix Anal. Appl. 2009) or a
 Newton-Noda step (after Guo, Lin and Liu, Numer. Math. 137, 2017): one
 dense linear solve with the Jacobian of x -> T x^{k-1}, which converges
 quadratically near the radius and, up to rounding, never raises the upper
-bound. Newton-Noda steps start once the power steps taken, or those still
+bound. The Jacobian is a rank-m update of a diagonal, so the step solves
+either the n x n vertex system or, by the Woodbury identity, an m x m
+edge system, whichever costs less; hypergraphs with fewer edges than
+vertices, such as the half-edge lifts and loose paths, take the edge
+system. Newton-Noda steps start once the power steps taken, or those still
 needed by the bracket's contraction, would cost more than the about ten
 Newton-Noda steps (four for k = 2) that finish; so inputs with a clear
 spectral gap stay on power steps. A step whose solve fails or whose
-solution is not strictly positive is a power step too. Above dimension
-2048 there are no Newton-Noda steps; instead each power step is mixed with
-the last five by type-II Anderson acceleration (Walker and Ni, SIAM J.
-Numer. Anal. 49, 2011). A mix is used only when it is strictly positive,
-and one that widens the bracket is replaced by the power step it
-displaced. The reported bracket is that of the final positive vector,
-however it was found.
+solution is not strictly positive is a power step too. When the system
+solved would be larger than 2048 there are no Newton-Noda steps; instead
+each power step is mixed with the last five by type-II Anderson
+acceleration (Walker and Ni, SIAM J. Numer. Anal. 49, 2011). A mix is used
+only when it is strictly positive, and one that widens the bracket is
+replaced by the power step it displaced. The reported bracket is that of
+the final positive vector, however it was found.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -60,9 +63,9 @@ __all__ = [
     "half_edge_constancy",
 ]
 
-# Largest dimension that takes Newton-Noda steps, as a memory bound: a step
-# raised the peak RSS by 106 MB at this size (about three dense n x n float
-# arrays).
+# Largest Newton-Noda system, vertex (n x n) or edge (m x m), as a memory
+# bound: a vertex step raised the peak RSS by 106 MB at this size (about
+# three dense float arrays of that size).
 _NEWTON_MAX_DIM = 2048
 
 # Newton-Noda steps that finish a solve from where the power iteration
@@ -77,10 +80,14 @@ _NODA_STEPS = 4
 # 1500, a Newton-Noda step n^2 for the Jacobian plus n^3 / 700 for the solve
 # plus a fixed 3000. Fitted for n = 7..2048 on a 2-vCPU x86_64 host
 # (Python 3.11, numpy 2.4, OpenBLAS), each estimate within 1.5x of the
-# measured time, when a slot cost about 20 ns. The column-kernel apply takes
-# 4-6 ns per slot plus 10-25 us per call (k = 3..8, m = 500..8000, same
-# host), so these prices now overstate power steps on large inputs; they are
-# kept as fitted, since refitting moves the switch points and so the output.
+# measured time, when a slot cost about 20 ns. The edge system is priced in
+# the same units, m^2 + sum deg(u)^2 to assemble it plus m^3 / 700 for the
+# solve: its solves took 12-19 ns per slot at m = 100..900 on the same host,
+# the vertex solves 14-27 ns per slot at n = 200..1200. The column-kernel
+# apply takes 4-6 ns per slot plus 10-25 us per call (k = 3..8,
+# m = 500..8000, same host), so these prices now overstate power steps on
+# large inputs; they are kept as fitted, since refitting moves the switch
+# points and so the output.
 _POWER_STEP_SLOTS = 1500
 _NEWTON_STEP_SLOTS = 3000
 _SOLVE_SLOTS_PER_CUBE = 1 / 700
@@ -115,6 +122,10 @@ class AdjacencyTensor:
         # array on every call.
         self._edges = h.edge_array.copy()
         self._deg = np.bincount(self._edges.ravel(), minlength=h.n).astype(float)
+        # Index tables of the two Newton-Noda systems, built on the first
+        # step that solves one: they do not depend on x.
+        self._vertex_pairs: tuple[np.ndarray, np.ndarray] | None = None
+        self._edge_pairs: tuple[np.ndarray, np.ndarray] | None = None
         if not h.m:
             # No buffers and no views: there are 2(k-1) of them whatever m
             # is, and an edgeless header may declare any k.
@@ -169,14 +180,40 @@ class AdjacencyTensor:
         edges holding both u and v, the product of x over the other k-2
         vertices. Symmetric with a zero diagonal."""
         x = self._check_vector(x)
-        pairs, others = _pair_positions(self.order)
-        E = self._edges
-        # Edges are sorted, so every (first, second) pair lies above the diagonal.
-        weights = np.prod(x[E][:, others], axis=2)
-        flat = E[:, pairs[:, 0]] * self.dim + E[:, pairs[:, 1]]
-        above = np.bincount(flat.ravel(), weights=weights.ravel(), minlength=self.dim**2)
+        if self._vertex_pairs is None:
+            # For each slot pair (i, j), i < j, of an edge: the flat index of
+            # entry (E[e, i], E[e, j]), which lies above the diagonal since
+            # edges are sorted, and the k-2 positions left over.
+            k, E = self.order, self._edges
+            pairs = np.array(list(itertools.combinations(range(k), 2)), dtype=np.intp)
+            others = np.array([[w for w in range(k) if w not in p] for p in pairs], dtype=np.intp)
+            flat = E[:, pairs[:, 0]] * self.dim + E[:, pairs[:, 1]]
+            self._vertex_pairs = flat.ravel(), others.reshape(len(pairs), k - 2)
+        flat, others = self._vertex_pairs
+        weights = np.prod(x[self._edges][:, others], axis=2)
+        above = np.bincount(flat, weights=weights.ravel(), minlength=self.dim**2)
         above = above.astype(float, copy=False).reshape(self.dim, self.dim)
         return above + above.T
+
+    def _shared_vertex_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every ordered pair of edge slots that hold the same vertex, each
+        slot with itself included: sum deg(u)^2 pairs, given as the flat
+        index e * m + f of the two edges and the vertex they share."""
+        if self._edge_pairs is None:
+            m, k = self._edges.shape
+            slot_vertex = self._edges.ravel()
+            by_vertex = np.argsort(slot_vertex, kind="stable")
+            deg = self._deg.astype(np.intp)
+            vertex = slot_vertex[by_vertex]
+            size = deg[vertex]
+            # Sorted position i, of vertex v, pairs with the positions
+            # first[v], ..., first[v] + deg(v) - 1 that v occupies.
+            first = np.cumsum(deg) - deg
+            within = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+            rows = np.repeat(by_vertex, size)
+            cols = by_vertex[np.repeat(first[vertex], size) + within]
+            self._edge_pairs = (rows // k) * m + cols // k, slot_vertex[rows]
+        return self._edge_pairs
 
 
 class SignlessLaplacianTensor(AdjacencyTensor):
@@ -202,18 +239,6 @@ class SignlessLaplacianTensor(AdjacencyTensor):
         k = self.order
         jac[np.diag_indices(self.dim)] += (k - 1) * self._deg * x ** (k - 2)
         return jac
-
-
-@lru_cache(maxsize=None)
-def _pair_positions(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (i, j), i < j, within a k-edge, and for each pair the k-2
-    positions left over."""
-    pairs = list(itertools.combinations(range(k), 2))
-    others = [[w for w in range(k) if w not in p] for p in pairs]
-    return (
-        np.array(pairs, dtype=np.intp),
-        np.array(others, dtype=np.intp).reshape(len(pairs), k - 2),
-    )
 
 
 @dataclass(frozen=True)
@@ -268,10 +293,16 @@ def weakly_irreducible(t: AdjacencyTensor) -> bool:
     return is_connected(t.hypergraph)
 
 
-def _newton_pays(k: int, n: int, slots: int, power_steps: int, contraction: float, reduction: float) -> bool:
+def _solve_price(size: int) -> float:
+    """Slots to assemble and solve a dense size x size system."""
+    return size * size + size**3 * _SOLVE_SLOTS_PER_CUBE
+
+
+def _newton_pays(k: int, price: float, slots: int, power_steps: int, contraction: float, reduction: float) -> bool:
     """True once the power steps taken, or half the estimate of those still
     needed, cost more than the Newton-Noda steps that would finish, for an
-    order-k, dimension-n operator whose apply reads `slots` stored entries.
+    order-k operator whose apply reads `slots` stored entries and whose
+    Newton-Noda system costs `price` slots to build and solve.
 
     The estimate assumes that the bracket keeps narrowing by the factor
     contraction of the last power step until it has narrowed by the factor
@@ -283,16 +314,60 @@ def _newton_pays(k: int, n: int, slots: int, power_steps: int, contraction: floa
     steps_left = math.log(reduction) / math.log(contraction) if contraction < 1 else math.inf
     power_cost = max(power_steps, steps_left / 2) * (slots + _POWER_STEP_SLOTS)
     steps = _NODA_STEPS if k == 2 else _NEWTON_STEPS
-    newton_cost = steps * (n * n + n**3 * _SOLVE_SLOTS_PER_CUBE + _NEWTON_STEP_SLOTS)
+    newton_cost = steps * (price + _NEWTON_STEP_SLOTS)
     return power_cost > newton_cost
 
 
-def _newton_noda_step(jac: np.ndarray, k: int, x: np.ndarray, lam: float) -> np.ndarray | None:
-    """Next iterate from positive x, with jac the Jacobian of x -> T x^{k-1}
-    at x and lam the current upper bound on rho.
+def _vertex_solve(t: AdjacencyTensor, x: np.ndarray, lam: float) -> np.ndarray | None:
+    """w = M^{-1} x^{[k-1]} by one dense n x n solve, M assembled from the
+    Jacobian. None when the solve fails."""
+    k = t.order
+    m = -t.jacobian(x)
+    m[np.diag_indices(len(x))] += (k - 1) * lam * x ** (k - 2)
+    try:
+        return np.linalg.solve(m, x ** (k - 1))
+    except np.linalg.LinAlgError:
+        return None
 
-    Solves M w = x^{[k-1]} for M = (k-1) lam diag(x^{k-2}) - jac, the
-    Jacobian of lam x^{[k-1]} - T x^{k-1}, and returns the weighted
+
+def _edge_solve(t: AdjacencyTensor, x: np.ndarray, lam: float) -> np.ndarray | None:
+    """w = M^{-1} x^{[k-1]} by one dense m x m solve in edge space.
+
+    With P_e the product of x over edge e, X = diag(x) and E the n x m
+    vertex-edge incidence matrix, the Jacobian of x -> A x^{k-1} is
+    X^{-1} E diag(P) E^T X^{-1} minus its diagonal, so X M X = H - E P E^T
+    with H = diag(h), h_u = (k-1) lam_u x_u^k + sum_{e at u} P_e, and
+    lam_u = lam for A, lam - deg(u) for Q. The Woodbury identity gives
+    w = X H^{-1} (x^{[k]} + E P z) where (I - E^T H^{-1} E P) z =
+    E^T H^{-1} x^{[k]}. Only h is inverted, never an entry of x or P, so a
+    tiny product cannot overflow. None when the solve fails.
+    """
+    k, n = t.order, t.dim
+    E = t._edges
+    m = len(E)
+    prod = np.prod(x[E], axis=1)
+    xk = x**k
+    if isinstance(t, SignlessLaplacianTensor):
+        lam = lam - t._deg  # Q's diagonal moves from the Jacobian into the shift
+    h_inv = 1.0 / ((k - 1) * lam * xk + np.bincount(E.ravel(), weights=np.repeat(prod, k), minlength=n))
+    pair_edges, pair_vertex = t._shared_vertex_pairs()
+    system = np.bincount(pair_edges, weights=h_inv[pair_vertex], minlength=m * m).reshape(m, m)
+    system *= -prod
+    system.flat[:: m + 1] += 1.0
+    try:
+        z = np.linalg.solve(system, (xk * h_inv)[E].sum(axis=1))
+    except np.linalg.LinAlgError:
+        return None
+    return x * h_inv * (xk + np.bincount(E.ravel(), weights=np.repeat(prod * z, k), minlength=n))
+
+
+def _newton_noda_step(t: AdjacencyTensor, x: np.ndarray, lam: float, edge_system: bool) -> np.ndarray | None:
+    """Next iterate from positive x, with lam the current upper bound on rho.
+
+    Solves M w = x^{[k-1]} for M = (k-1) lam diag(x^{k-2}) - J, J the
+    Jacobian of x -> T x^{k-1} at x, so M is the Jacobian of
+    lam x^{[k-1]} - T x^{k-1}; through the m x m edge system when
+    edge_system, else the n x n vertex system. Returns the weighted
     geometric mean x^{(k-2)/(k-1)} w^{1/(k-1)}, rescaled to max entry 1. Its
     first-order part is the Newton step on (x, lambda). M is a nonsingular
     M-matrix when lam > rho, so w > 0; then, by the AM-GM inequality on each
@@ -300,13 +375,9 @@ def _newton_noda_step(jac: np.ndarray, k: int, x: np.ndarray, lam: float) -> np.
     For k = 2 the result is w, Noda's shifted inverse iteration. None when
     the solve fails or the result is not finite and strictly positive.
     """
-    m = -jac
-    m[np.diag_indices(len(x))] += (k - 1) * lam * x ** (k - 2)
-    try:
-        w = np.linalg.solve(m, x ** (k - 1))
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(w > 0):
+    k = t.order
+    w = (_edge_solve if edge_system else _vertex_solve)(t, x, lam)
+    if w is None or not np.all(w > 0):
         return None
     x = x ** ((k - 2) / (k - 1)) * w ** (1.0 / (k - 1))
     if not (np.all(np.isfinite(x)) and np.all(x > 0)):
@@ -370,9 +441,14 @@ class _AndersonMixer:
 def _bracketed_iteration(t: AdjacencyTensor, tol: float, max_iter: int):
     """The loop behind power_iteration_rho. Returns (x, iterations, lower,
     upper, converged) with the bracket of the ratios shifted by 1."""
-    k, n = t.order, t.dim
-    slots = t.hypergraph.m * k
-    newton_ready = n <= _NEWTON_MAX_DIM
+    k, n, m = t.order, t.dim, t.hypergraph.m
+    slots = m * k
+    # Newton-Noda steps solve the cheaper of the vertex and the edge system.
+    vertex_price = _solve_price(n)
+    edge_price = _solve_price(m) + float(t._deg @ t._deg)
+    edge_system = edge_price < vertex_price
+    size, price = (m, edge_price) if edge_system else (n, vertex_price)
+    newton_ready = size <= _NEWTON_MAX_DIM
     mixer = None if newton_ready else _AndersonMixer(n)
     plain = None  # the power step an Anderson proposal x replaced
     newton = False
@@ -394,9 +470,9 @@ def _bracketed_iteration(t: AdjacencyTensor, tol: float, max_iter: int):
             continue
         if newton_ready and not newton and width < math.inf:
             reduction = tol * upper / (upper - lower)
-            newton = _newton_pays(k, n, slots, iterations - 1, (upper - lower) / width, reduction)
+            newton = _newton_pays(k, price, slots, iterations - 1, (upper - lower) / width, reduction)
         width = upper - lower
-        step = _newton_noda_step(t.jacobian(x), k, x, upper - 1.0) if newton else None
+        step = _newton_noda_step(t, x, upper - 1.0, edge_system) if newton else None
         if step is None:
             step = y ** (1.0 / (k - 1))
             step /= step.max()
@@ -422,13 +498,14 @@ def power_iteration_rho(
     max entry 1, until the power steps taken, or those the bracket's
     contraction over the last one says are still needed, would cost more
     than the Newton-Noda steps that finish (about ten, four for k = 2);
-    from then on, by Newton-Noda steps. Only tensors of dimension at most
-    2048 take them, and a Newton-Noda step whose linear solve fails or whose
-    result is not strictly positive is replaced by the power step. Above
-    that dimension each power step is Anderson-mixed with the last five; a
-    mix that is not strictly positive, or whose bracket turns out wider
-    than the one before, gives way to the plain power step, and mixing
-    pauses until five new power steps are recorded. Either way x stays
+    from then on, by Newton-Noda steps. Each solves the n x n vertex
+    system or the m x m edge system, whichever is cheaper, and only when
+    that system has size at most 2048; a Newton-Noda step whose linear
+    solve fails or whose result is not strictly positive is replaced by the
+    power step. Above that size each power step is Anderson-mixed with the
+    last five; a mix that is not strictly positive, or whose bracket turns
+    out wider than the one before, gives way to the plain power step, and
+    mixing pauses until five new power steps are recorded. Either way x stays
     positive with max entry 1, so the final bracket is a Collatz-Wielandt
     bracket however x was found.
     """

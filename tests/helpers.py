@@ -2,12 +2,13 @@
 
 These deliberately avoid the code paths under test: parity searches scan
 all 2^n splits, spectral radii come from numpy's dense symmetric solver,
-GF(2) systems go through eager Gauss-Jordan elimination, the adjacency
-action scatters with np.add.at, Jacobians are summed edge by edge in a loop,
-the power iteration is the plain shifted loop, strong connectivity is
-counted by Tarjan's algorithm on the co-occurrence arc lists, connected
-classes come from a scan of every labelled graph, and files are read one
-line at a time with str.splitlines, str.split and int().
+signless radii of power hypergraphs from a bisection on their base graph's
+matrices, GF(2) systems go through eager Gauss-Jordan elimination, the
+adjacency action scatters with np.add.at, Jacobians are summed edge by edge
+in a loop, the power iteration is the plain shifted loop, strong
+connectivity is counted by Tarjan's algorithm on the co-occurrence arc
+lists, connected classes come from a scan of every labelled graph, and
+files are read one line at a time with str.splitlines, str.split and int().
 """
 
 from __future__ import annotations
@@ -52,6 +53,29 @@ def eig_rho_adjacency(g: SimpleGraph) -> float:
 
 def eig_rho_signless(g: SimpleGraph) -> float:
     return float(np.max(np.linalg.eigvalsh(signless_laplacian_matrix(g))))
+
+
+def power_hypergraph_signless_rho(g: SimpleGraph, k: int) -> float:
+    """rho(Q) of the power hypergraph G^{k,1}, which adds k-2 fresh vertices
+    to every edge of the connected graph g: the unique lambda > 1 with
+    lambda = rho(D + (lambda-1)^{-(k-2)/2} A) of g, found by bisection with
+    eigvalsh. The Perron vector is a_v on base vertex v and b_e on the fresh
+    vertices of edge uv, with b_e^2 = a_u a_v / (lambda - 1); y_v = a_v^{k/2}
+    is then the Perron vector of that matrix. The right side falls as lambda
+    rises, and it is at least rho(Q(g)) >= 2 for lambda <= 2 and at most
+    rho(Q(g)) <= 2 max degree for lambda >= 2."""
+    a = adjacency_matrix(g)
+    d = np.diag(a.sum(axis=1))
+    lo, hi = 2.0, 2.0 * float(d.max()) + 1.0
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if np.linalg.eigvalsh(d + (mid - 1.0) ** (-(k - 2) / 2) * a).max() > mid:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def eager_gf2_solve(system: ParitySystem) -> int | None:

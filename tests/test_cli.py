@@ -155,6 +155,12 @@ class TestReportCommands:
         assert "[PASS]" in out
         assert "6" in out  # six classes on four vertices
 
+    def test_verify_nob_repeated_k_prints_each_row_once(self, capsys):
+        assert run_cli(["verify-nob", "--n-max", "4", "--k", "4"]) == 0
+        single = capsys.readouterr().out
+        assert run_cli(["verify-nob", "--n-max", "4", "--k", "4", "--k", "4"]) == 0
+        assert capsys.readouterr().out == single
+
     def test_report_range_errors(self, capsys):
         assert run_cli(["limitpoints", "--n-max", "0"]) == 2
         assert run_cli(["verify-nob", "--n-max", "4", "--k", "5"]) == 2

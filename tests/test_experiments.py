@@ -135,6 +135,15 @@ class TestVerifyNob:
         report = verify_theorem_nob(4, ks=(4,))
         assert [row[1] for row in report.rows] == [4, 4]
 
+    def test_repeated_k_counted_once(self):
+        single = verify_theorem_nob(4, ks=(4,))
+        repeated = verify_theorem_nob(4, ks=(4, 4))
+        assert repeated.rows == single.rows and repeated.params == single.params
+        # First occurrences keep their order.
+        report = verify_theorem_nob(4, ks=(6, 4, 6, 4))
+        assert report.params["k"] == [6, 4]
+        assert [row[1] for row in report.rows] == [6, 4, 6, 4]
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             verify_theorem_nob(2)

@@ -19,6 +19,7 @@ from hypergraph_spectra import (
     t_graph,
     tau_threshold,
 )
+from hypergraph_spectra import matrixspec
 
 from helpers import adjacency_matrix, eig_rho_adjacency, eig_rho_signless
 
@@ -254,6 +255,18 @@ class TestLimitPointTable:
         assert table.threshold == tau_threshold()
         ns = [r[0] for r in table.rows]
         assert ns == [1, 2, 3, 4, 5]
+
+    def test_rows_are_the_root_functions(self):
+        # Each alpha comes from the beta already in its row.
+        table = limit_point_table(64)
+        assert table.rows == tuple((n, beta_n(n), alpha_n(n)) for n in range(1, 65))
+
+    def test_each_root_bisected_once(self, monkeypatch):
+        calls = []
+        root = matrixspec.beta_n
+        monkeypatch.setattr(matrixspec, "beta_n", lambda n: calls.append(n) or root(n))
+        limit_point_table(10)
+        assert calls == list(range(1, 11))
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):

@@ -46,6 +46,7 @@ from helpers import (
     eig_rho_adjacency,
     eig_rho_signless,
     jacobian_reference,
+    power_hypergraph_signless_rho,
     power_iteration_reference,
     signless_laplacian_matrix,
 )
@@ -558,6 +559,13 @@ def pendant_lift(n: int) -> tuple[Hypergraph, SimpleGraph]:
     return generalized_power(g, 4, 2)[0], g
 
 
+def deleted_edge_tree(n: int) -> SimpleGraph:
+    """C_{2n+1} plus a pendant edge, less the cycle edge opposite the branch
+    vertex: the trees of the convergence report."""
+    g = cycle_plus_pendant(2 * n + 2)
+    return SimpleGraph(g.n, tuple(e for e in g.edges if e != (n + 1, n + 2)))
+
+
 def clear_gap_lift(base_n: int, seed: int) -> tuple[Hypergraph, SimpleGraph]:
     """k = 4 lift of a random connected base with 4 * base_n edges and one
     vertex of degree 40, whose spectral gap is wide: the power iteration
@@ -573,12 +581,21 @@ def clear_gap_lift(base_n: int, seed: int) -> tuple[Hypergraph, SimpleGraph]:
 
 
 class TestNewtonNoda:
-    def test_long_loose_path_converges(self):
-        # The plain power iteration needs 32,576 steps here; Newton-Noda
-        # steps take over after about 2,100 of them.
-        res = power_iteration_rho(AdjacencyTensor(s_path(40, 1, 30)), tol=1e-10)
-        assert res.converged and res.iterations < 5000
-        assert abs(res.rho - (2 * math.cos(math.pi / 32)) ** (1 / 20)) <= 1e-8
+    @pytest.mark.parametrize("k", [40, 80, 120])
+    @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
+    def test_long_loose_path_converges(self, cls, k):
+        # n = 29k + 11 vertices on 30 edges: the edge system is solved, above
+        # the size cap too. The plain power iteration needs 32,576 steps at
+        # k = 40 (adjacency).
+        h = s_path(k, 1, 30)
+        res = power_iteration_rho(cls(h), tol=1e-10)
+        assert res.converged and res.iterations <= 30
+        if cls is AdjacencyTensor:
+            # The power hypergraph of P_31: rho = rho(P_31)^(2/k).
+            rho = (2 * math.cos(math.pi / 32)) ** (2 / k)
+        else:
+            rho = power_hypergraph_signless_rho(path_graph(31), k)
+        assert contains(res.lower, res.upper, rho)
 
     @pytest.mark.parametrize(
         "cls, oracle", [(AdjacencyTensor, eig_rho_adjacency), (SignlessLaplacianTensor, eig_rho_signless)]
@@ -592,9 +609,10 @@ class TestNewtonNoda:
             assert abs(res.rho - oracle(g)) <= 1e-12
             assert res.lower <= res.rho <= res.upper
 
+    @pytest.mark.parametrize("edge_system", [False, True])
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
     @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
-    def test_step_lowers_every_ratio(self, cls, k):
+    def test_step_lowers_every_ratio(self, cls, k, edge_system):
         rng = random.Random(k)
         nrng = np.random.default_rng(k)
         for _ in range(10):
@@ -602,12 +620,13 @@ class TestNewtonNoda:
             t = cls(h)
             x = nrng.uniform(0.05, 1.0, t.dim)
             upper = float(s_ratios(t, x).max())
-            step = tensors._newton_noda_step(t.jacobian(x), k, x, upper)
+            step = tensors._newton_noda_step(t, x, upper, edge_system)
             assert step is not None and step.max() == 1.0
             assert s_ratios(t, step).max() < upper
 
+    @pytest.mark.parametrize("edge_system", [False, True])
     @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
-    def test_steps_from_ones_lower_the_upper_bound(self, cls):
+    def test_steps_from_ones_lower_the_upper_bound(self, cls, edge_system):
         # Up to rounding. The arithmetic mean (k-2)/(k-1) x + w/(k-1), the
         # plain Newton step, raises the upper bound here by far more.
         t = cls(pendant_lift(50)[0])
@@ -619,7 +638,7 @@ class TestNewtonNoda:
                 break
             assert s.max() < upper * (1 + 1e-14)
             upper = float(s.max())
-            x = tensors._newton_noda_step(t.jacobian(x), t.order, x, upper)
+            x = tensors._newton_noda_step(t, x, upper, edge_system)
         else:
             pytest.fail("no convergence in 15 Newton-Noda steps")
 
@@ -634,19 +653,23 @@ class TestNewtonNoda:
         assert (res.lower, res.upper) == (lower - 1.0, upper - 1.0)
 
     def test_switch_rule(self):
-        # Newton-Noda steps on a 1000-vertex operator with 4000 slots cost
-        # as much as about 4,400 power steps.
-        assert not tensors._newton_pays(4, 1000, 4000, 10, 0.8, 1e-9)
-        assert tensors._newton_pays(4, 1000, 4000, 10, 1 - 1e-4, 1e-9)
-        assert tensors._newton_pays(4, 1000, 4000, 10, 1.0, 1e-9)
-        assert not tensors._newton_pays(4, 1000, 4000, 4000, 0.8, 1e-9)
-        assert tensors._newton_pays(4, 1000, 4000, 5000, 0.8, 1e-9)
+        # Newton-Noda steps on a 1000 x 1000 system, for an operator with
+        # 4000 slots, cost as much as about 4,400 power steps.
+        price = tensors._solve_price(1000)
+        assert not tensors._newton_pays(4, price, 4000, 10, 0.8, 1e-9)
+        assert tensors._newton_pays(4, price, 4000, 10, 1 - 1e-4, 1e-9)
+        assert tensors._newton_pays(4, price, 4000, 10, 1.0, 1e-9)
+        assert not tensors._newton_pays(4, price, 4000, 4000, 0.8, 1e-9)
+        assert tensors._newton_pays(4, price, 4000, 5000, 0.8, 1e-9)
 
     @pytest.mark.parametrize("failure", ["singular", "nonpositive"])
     @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
-    def test_failed_solve_falls_back_to_power_steps(self, monkeypatch, failure, cls):
-        h, _ = pendant_lift(5)
-        t = cls(h)
+    @pytest.mark.parametrize("lift", [True, False], ids=["edge-system", "vertex-system"])
+    def test_failed_solve_falls_back_to_power_steps(self, monkeypatch, failure, cls, lift):
+        # The lift has 24 vertices on 12 edges; its base graph keeps the
+        # vertex system.
+        h, g = pendant_lift(5)
+        t = cls(h if lift else g)
         calls = []
 
         def broken(m, b):
@@ -659,10 +682,88 @@ class TestNewtonNoda:
         res = power_iteration_rho(t, tol=1e-12)
         iterations, x, lower, upper = power_iteration_reference(t, 1e-12, 1_000_000)
         assert calls and res.converged
+        size = h.m if lift else g.n
+        assert set(calls) == {(size, size)}
         # Every attempted solve fails, so every iterate is the power step's.
         assert res.iterations == iterations
         assert np.array_equal(res.eigenvector, x)
         assert (res.lower, res.upper) == (lower - 1.0, upper - 1.0)
+
+
+class TestEdgeSystem:
+    """Newton-Noda steps through the m x m edge system, solved when it is
+    cheaper than the n x n vertex system."""
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
+    def test_matches_the_vertex_system_from_the_loop_jacobian(self, cls, k):
+        rng = random.Random(70 + k)
+        nrng = np.random.default_rng(k)
+        signless = cls is SignlessLaplacianTensor
+        for _ in range(10):
+            n = rng.randint(k + 2, 3 * k)
+            h = random_hypergraph(rng, k, n, rng.randint(1, n - 1))
+            t = cls(h)
+            x = nrng.uniform(0.05, 1.0, n)
+            lam = float(s_ratios(t, x).max())
+            m = (k - 1) * lam * np.diag(x ** (k - 2)) - jacobian_reference(h, x, signless=signless)
+            w = np.linalg.solve(m, x ** (k - 1))
+            np.testing.assert_allclose(tensors._edge_solve(t, x, lam), w, rtol=1e-12, atol=0)
+            step = x ** ((k - 2) / (k - 1)) * w ** (1 / (k - 1))
+            np.testing.assert_allclose(
+                tensors._newton_noda_step(t, x, lam, True), step / step.max(), rtol=1e-12, atol=0
+            )
+
+    def test_shared_vertex_pairs_match_a_loop(self):
+        rng = random.Random(9)
+        for k in (2, 3, 5):
+            h = random_hypergraph(rng, k, 12, 15)
+            pair_edges, pair_vertex = AdjacencyTensor(h)._shared_vertex_pairs()
+            expected = sorted(
+                (e * h.m + f, u) for e, a in enumerate(h.edges) for f, b in enumerate(h.edges) for u in set(a) & set(b)
+            )
+            assert sorted(zip(pair_edges.tolist(), pair_vertex.tolist())) == expected
+            assert len(expected) == sum(degree(h, u) ** 2 for u in range(h.n))
+
+    @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
+    @pytest.mark.parametrize(
+        "build, unused",
+        [
+            (lambda n: cycle_plus_pendant(2 * n + 2), "_edge_solve"),
+            (deleted_edge_tree, "_edge_solve"),
+            (lambda n: pendant_lift(n)[0], "_vertex_solve"),
+            (lambda n: s_path(20, 1, n), "_vertex_solve"),
+        ],
+        ids=["pendant-cycle", "deleted-edge-tree", "pendant-lift", "loose-path"],
+    )
+    def test_one_system_per_input(self, monkeypatch, cls, build, unused):
+        # Graphs (k = 2) keep the vertex system, so their results are those
+        # of a loop whose edge solve always fails; the lifts and loose paths
+        # have fewer edges than vertices and never solve the vertex system.
+        for n in (1, 10, 50):
+            for tol in (1e-10, 1e-13):
+                t = cls(build(n))
+                before = power_iteration_rho(t, tol=tol)
+                calls = []
+                monkeypatch.setattr(tensors, unused, lambda *args: calls.append(args))
+                after = power_iteration_rho(t, tol=tol)
+                monkeypatch.undo()
+                assert not calls and after.converged
+                assert (after.rho, after.lower, after.upper, after.iterations) == (
+                    before.rho,
+                    before.lower,
+                    before.upper,
+                    before.iterations,
+                )
+                assert np.array_equal(after.eigenvector, before.eigenvector)
+
+    def test_dense_edge_sets_keep_the_vertex_system(self):
+        # A k = 4 lift has twice as many edges as vertices.
+        t = AdjacencyTensor(clear_gap_lift(256, 7)[0])
+        t.jacobian(np.ones(t.dim))
+        assert t._edge_pairs is None
+        res = power_iteration_rho(t, tol=1e-10)
+        assert res.converged and t._edge_pairs is None
 
 
 def contains(res_lower: float, res_upper: float, rho: float) -> bool:
