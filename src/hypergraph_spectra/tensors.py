@@ -318,19 +318,16 @@ def _newton_pays(k: int, price: float, slots: int, power_steps: int, contraction
     return power_cost > newton_cost
 
 
-def _vertex_solve(t: AdjacencyTensor, x: np.ndarray, lam: float) -> np.ndarray | None:
+def _vertex_solve(t: AdjacencyTensor, x: np.ndarray, lam: float) -> np.ndarray:
     """w = M^{-1} x^{[k-1]} by one dense n x n solve, M assembled from the
-    Jacobian. None when the solve fails."""
+    Jacobian."""
     k = t.order
     m = -t.jacobian(x)
     m[np.diag_indices(len(x))] += (k - 1) * lam * x ** (k - 2)
-    try:
-        return np.linalg.solve(m, x ** (k - 1))
-    except np.linalg.LinAlgError:
-        return None
+    return np.linalg.solve(m, x ** (k - 1))
 
 
-def _edge_solve(t: AdjacencyTensor, x: np.ndarray, lam: float) -> np.ndarray | None:
+def _edge_solve(t: AdjacencyTensor, x: np.ndarray, lam: float) -> np.ndarray:
     """w = M^{-1} x^{[k-1]} by one dense m x m solve in edge space.
 
     With P_e the product of x over edge e, X = diag(x) and E the n x m
@@ -340,7 +337,7 @@ def _edge_solve(t: AdjacencyTensor, x: np.ndarray, lam: float) -> np.ndarray | N
     lam_u = lam for A, lam - deg(u) for Q. The Woodbury identity gives
     w = X H^{-1} (x^{[k]} + E P z) where (I - E^T H^{-1} E P) z =
     E^T H^{-1} x^{[k]}. Only h is inverted, never an entry of x or P, so a
-    tiny product cannot overflow. None when the solve fails.
+    tiny product cannot overflow.
     """
     k, n = t.order, t.dim
     E = t._edges
@@ -354,10 +351,7 @@ def _edge_solve(t: AdjacencyTensor, x: np.ndarray, lam: float) -> np.ndarray | N
     system = np.bincount(pair_edges, weights=h_inv[pair_vertex], minlength=m * m).reshape(m, m)
     system *= -prod
     system.flat[:: m + 1] += 1.0
-    try:
-        z = np.linalg.solve(system, (xk * h_inv)[E].sum(axis=1))
-    except np.linalg.LinAlgError:
-        return None
+    z = np.linalg.solve(system, (xk * h_inv)[E].sum(axis=1))
     return x * h_inv * (xk + np.bincount(E.ravel(), weights=np.repeat(prod * z, k), minlength=n))
 
 
@@ -376,8 +370,11 @@ def _newton_noda_step(t: AdjacencyTensor, x: np.ndarray, lam: float, edge_system
     the solve fails or the result is not finite and strictly positive.
     """
     k = t.order
-    w = (_edge_solve if edge_system else _vertex_solve)(t, x, lam)
-    if w is None or not np.all(w > 0):
+    try:
+        w = (_edge_solve if edge_system else _vertex_solve)(t, x, lam)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(w > 0):
         return None
     x = x ** ((k - 2) / (k - 1)) * w ** (1.0 / (k - 1))
     if not (np.all(np.isfinite(x)) and np.all(x > 0)):
