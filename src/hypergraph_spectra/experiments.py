@@ -12,9 +12,16 @@ import io
 import math
 from dataclasses import dataclass, field
 
-from .constructions import cycle_plus_pendant, generalized_power
+from .constructions import cycle_graph, cycle_plus_pendant, generalized_power
 from .core import SimpleGraph, check_solver_controls
-from .enumeration import enumerate_connected_graphs, enumerate_connected_nonbipartite
+from .enumeration import (
+    _augmented_class_codes,
+    _code_edges,
+    canonical_code,
+    enumerate_connected_graphs,
+    graph_code,
+    graph_from_code,
+)
 from .matrixspec import (
     _converged_rho,
     pendant_cycle_rho_sequence,
@@ -96,18 +103,22 @@ class ExperimentReport:
         return buf.getvalue()
 
 
-def _degree_bound(operator: str, g: SimpleGraph) -> float:
-    """A lower bound on the radius from the degrees of g: rho(A) is at
-    least the average degree 2m/n (the Rayleigh quotient at the all-ones
-    vector) and sqrt(max degree) (the largest star); rho(D + A) is at least
-    4m/n and max degree + 1."""
-    deg = [0] * g.n
-    for u, v in g.edges:
+def _degree_bound(operator: str, n: int, code: int) -> float:
+    """A lower bound on the radius of the graph with this code, from its
+    degrees d: rho(T) is at least ||r|| / sqrt(n), r = T 1 the row sums (d
+    for A, 2d for D + A), since rho(T)^2 = rho(T^2) is at least the Rayleigh
+    quotient of T^2 at the all-ones vector (Hofmeister 1988); and rho(A) is
+    at least sqrt(max degree) (the largest star), rho(D + A) at least
+    max degree + 1. By Cauchy-Schwarz ||r|| / sqrt(n) is at least the
+    average row sum, 2m/n for A and 4m/n for D + A."""
+    deg = [0] * n
+    for u, v in _code_edges(n, code):
         deg[u] += 1
         deg[v] += 1
+    norm = math.sqrt(sum(d * d for d in deg) / n)
     if operator == "adjacency":
-        return max(2 * g.m / g.n, math.sqrt(max(deg)))
-    return max(4 * g.m / g.n, max(deg) + 1.0)
+        return max(norm, math.sqrt(max(deg)))
+    return max(2.0 * norm, max(deg) + 1.0)
 
 
 def min_rho_search(
@@ -117,17 +128,27 @@ def min_rho_search(
     vertices, with every minimizer (ties within 10*tol) as a canonical
     representative, in code order. Supported for 4 <= n <= 8.
 
-    Classes are solved in increasing order of their degree bound L (ties in
-    code order), and the search stops at the first class with
-    L - tol*(L + 2) > best + 10*tol, best the smallest radius solved so far.
-    The answer is that of solving every class: a solved radius is the
-    midpoint of a shifted Collatz-Wielandt bracket [lower, upper] with
-    upper >= rho + 1 and lower >= (1 - tol)*upper, so it is at least
-    rho - tol*(rho + 1)/2, and for a class with rho >= L at least
-    L - tol*(L + 1)/2. Every class left unsolved would therefore have
-    computed a radius above best + 10*tol: it could neither tie nor win,
-    whatever the final best. The margin left over, tol*(L + 3)/2, exceeds
-    the rounding of the bracket.
+    The answer is that of solving every class. A class with lower bound L
+    on its radius is excluded when L - tol*(L + 2) > best + 10*tol, best
+    the smallest radius solved so far: a solved radius is the midpoint of a
+    shifted Collatz-Wielandt bracket [lower, upper] with upper >= rho + 1
+    and lower >= (1 - tol)*upper, so it is at least rho - tol*(rho + 1)/2,
+    and for a class with rho >= L at least L - tol*(L + 1)/2. An excluded
+    class would therefore have computed a radius above best + 10*tol: it
+    could neither tie nor win, whatever the final best, which is never
+    above best. The margin left over, tol*(L + 3)/2, exceeds the rounding
+    of the bracket and of L.
+
+    The search first solves C_n (odd n) or C_{n-1} plus a pendant edge
+    (even n), whose radius U seeds best. A class with m edges has
+    rho >= 2m/n for A and 4m/n for D + A, its average row sum. The budget
+    is the largest m whose bound is not excluded against U. A class with
+    more edges is excluded against U by that bound, and so against every
+    later best, which never rises above U: it could neither tie nor win,
+    and it is never enumerated. The classes within the budget take their
+    bound from _degree_bound, on the code alone, and are visited in
+    increasing order of it (ties in code order) until the first excluded
+    one; a class is built and tested for bipartiteness only when reached.
     """
     if not 4 <= n <= 8:
         raise ValueError("n out of supported range: need 4 <= n <= 8")
@@ -135,18 +156,31 @@ def min_rho_search(
         raise ValueError(f"unknown operator {operator!r}")
     check_solver_controls(tol, max_iter)
     rho_fn = MATRIX_RHO[operator]
-    graphs = list(enumerate_connected_nonbipartite(n))
-    bounds = [_degree_bound(operator, g) for g in graphs]
-    solved: list[tuple[int, float]] = []
-    best = math.inf
-    for i in sorted(range(len(graphs)), key=lambda i: (bounds[i], i)):
-        low = bounds[i]
-        if low - tol * (low + 2.0) > best + 10.0 * tol:
+    row_total = 2.0 if operator == "adjacency" else 4.0  # row sums add up to row_total * m
+
+    def excluded(low: float) -> bool:
+        return low - tol * (low + 2.0) > best + 10.0 * tol
+
+    first = canonical_code(n, graph_code(cycle_graph(n) if n % 2 else cycle_plus_pendant(n)))
+    g = graph_from_code(n, first)
+    best = _converged_rho(rho_fn(g, tol=tol, max_iter=max_iter))
+    solved: list[tuple[int, float, SimpleGraph]] = [(first, best, g)]
+    # The incumbent has n edges and is never excluded by its own radius.
+    budget = max(m for m in range(n, n * (n - 1) // 2 + 1) if not excluded(row_total * m / n))
+    codes = _augmented_class_codes(n, budget)
+    bounds = {code: _degree_bound(operator, n, code) for code in codes}
+    for code in sorted(codes, key=lambda code: (bounds[code], code)):
+        if excluded(bounds[code]):
             break
-        rho = _converged_rho(rho_fn(graphs[i], tol=tol, max_iter=max_iter))
-        solved.append((i, rho))
+        if code == first:
+            continue
+        g = graph_from_code(n, code)
+        if is_bipartite(g) is not None:
+            continue
+        rho = _converged_rho(rho_fn(g, tol=tol, max_iter=max_iter))
+        solved.append((code, rho, g))
         best = min(best, rho)
-    argmin = [graphs[i] for i, rho in sorted(solved) if rho - best <= 10.0 * tol]
+    argmin = [g for _, rho, g in sorted(solved) if rho - best <= 10.0 * tol]
     return best, argmin
 
 

@@ -1,5 +1,8 @@
+import functools
 import itertools
+import math
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -17,9 +20,12 @@ from hypergraph_spectra import (
     is_bipartite,
     is_connected,
 )
-from hypergraph_spectra.enumeration import _connected_class_codes
+from hypergraph_spectra.enumeration import _augmented_class_codes, _connected_class_codes
 
 from helpers import scan_connected_class_codes
+
+# The scan takes seconds at n = 7; two tests compare against it.
+scan_connected_class_codes = functools.lru_cache(scan_connected_class_codes)
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
@@ -46,6 +52,30 @@ class TestCodes:
         for _ in range(50):
             code = rng.randrange(1 << 10)  # n = 5 has 10 vertex pairs
             assert graph_code(graph_from_code(5, code)) == code
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_bits_follow_lexicographic_pairs(self, n):
+        pairs = list(itertools.combinations(range(n), 2))
+        rng = random.Random(n)
+        full = (1 << len(pairs)) - 1
+        for code in [0, full] + [rng.randint(0, full) for _ in range(20)]:
+            edges = tuple(pair for b, pair in enumerate(pairs) if code >> b & 1)
+            assert graph_from_code(n, code) == SimpleGraph(n, edges)
+            assert graph_code(SimpleGraph(n, edges)) == code
+
+    def test_codes_of_large_graphs_are_cheap(self):
+        # No table of all C(n, 2) pairs is built: that is about 330 MB at n = 2000.
+        g = SimpleGraph(2000, ((0, 1), (5, 1999), (1998, 1999)))
+        tracemalloc.start()
+        try:
+            code = graph_code(g)
+            back = graph_from_code(2000, code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code.bit_length() == 2000 * 1999 // 2
+        assert back == g
+        assert peak < 4 << 20
 
     def test_empty_and_full(self):
         assert graph_code(SimpleGraph(4, ())) == 0
@@ -127,6 +157,22 @@ class TestAugmentationMatchesScan:
     def test_bit_identical_to_scan_and_filter(self, n):
         assert _connected_class_codes(n) == scan_connected_class_codes(n)
 
+    # From one edge too few for a connected graph to every edge.
+    @pytest.mark.parametrize(
+        "n, budget", [(n, b) for n in range(1, 9) for b in range(n - 2, math.comb(n, 2) + 1)]
+    )
+    def test_budget_filters_the_level_by_edge_count(self, n, budget):
+        full = scan_connected_class_codes(n) if n <= 7 else _connected_class_codes(n)
+        want = tuple(code for code in full if code.bit_count() <= budget)
+        assert _augmented_class_codes(n, budget) == want
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_trees_and_unicyclic_classes_by_budget(self, n):
+        trees = len(_augmented_class_codes(n, n - 1))
+        assert trees == TREE_COUNTS[n]
+        if n >= 3:
+            assert len(_augmented_class_codes(n, n)) - trees == UNICYCLIC_COUNTS[n]
+
     def test_codes_are_python_ints_in_increasing_order(self):
         codes = _connected_class_codes(6)
         assert all(type(c) is int for c in codes)
@@ -152,6 +198,8 @@ def test_every_connected_graph_has_its_class_enumerated(g):
     assert canonical_code(g.n, graph_code(g)) in _connected_class_codes(g.n)
 
 
+# Trees on n vertices: OEIS A000055.
+TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
 # Connected unicyclic graphs (m = n) on n vertices: OEIS A001429.
 UNICYCLIC_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89}
 

@@ -63,10 +63,20 @@ ORACLES = [("adjacency", eig_rho_adjacency), ("signless-laplacian", eig_rho_sign
 
 
 class TestPrunedSearchMatchesFullScan:
-    """min_rho_search solves only the classes its degree bounds cannot
-    exclude; a full eigvalsh scan over every class is the oracle."""
+    """min_rho_search solves only the classes its edge budget and degree
+    bounds cannot exclude; a full eigvalsh scan over every class is the
+    oracle."""
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    # Solves, the incumbent's included, pinned so that a weaker bound shows.
+    SOLVES = {
+        (7, "adjacency"): 1,
+        (7, "signless-laplacian"): 1,
+        (8, "adjacency"): 3,
+        (8, "signless-laplacian"): 20,
+    }
+    CLASSES = {7: 809, 8: 10935}
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     @pytest.mark.parametrize("operator, oracle", ORACLES)
     def test_minimum_and_minimisers(self, monkeypatch, n, operator, oracle):
         tol = 1e-10
@@ -87,9 +97,32 @@ class TestPrunedSearchMatchesFullScan:
         excluded = [rho for g, rho in zip(graphs, radii) if g not in solved]
         assert all(rho > best + 10 * tol for rho in excluded)
         assert len(solved) + len(excluded) == len(graphs)
-        if n == 7:
-            assert len(graphs) == 809
-            assert len(solved) == {"adjacency": 20, "signless-laplacian": 11}[operator]
+        if n in self.CLASSES:
+            assert len(graphs) == self.CLASSES[n]
+            assert len(solved) == self.SOLVES[n, operator]
+
+    @pytest.mark.parametrize("operator", ["adjacency", "signless-laplacian"])
+    def test_eight_vertices_build_at_most_the_budget(self, monkeypatch, operator):
+        # C_7 plus a pendant edge puts U below 2.25 (A) and 4.5 (D + A), so
+        # the budget is 8 edges: the 23 trees and 89 unicyclic classes. A
+        # fall-back to the full level (11117 classes) fails here.
+        levels, built = [], []
+        enumerate_level = experiments._augmented_class_codes
+        build = experiments.graph_from_code
+
+        def recording_level(n, budget):
+            levels.append(enumerate_level(n, budget))
+            return levels[-1]
+
+        def recording_build(n, code):
+            built.append(code)
+            return build(n, code)
+
+        monkeypatch.setattr(experiments, "_augmented_class_codes", recording_level)
+        monkeypatch.setattr(experiments, "graph_from_code", recording_build)
+        min_rho_search(8, operator=operator)
+        assert [len(codes) for codes in levels] == [112]
+        assert len(built) <= 112
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     @pytest.mark.parametrize("tol", [1e-10, 0.05, 0.2, 0.99])
