@@ -10,8 +10,10 @@ from hypergraph_spectra import (
     convergence_report,
     cycle_graph,
     cycle_plus_pendant,
+    enumerate_connected_graphs,
     enumerate_connected_nonbipartite,
     experiments,
+    graph_code,
     min_rho_search,
     tau_threshold,
     verify_theorem_nob,
@@ -60,6 +62,17 @@ class TestMinRhoSearch:
 
 
 ORACLES = [("adjacency", eig_rho_adjacency), ("signless-laplacian", eig_rho_signless)]
+
+
+class TestDegreeBound:
+    @pytest.mark.parametrize("operator, oracle", ORACLES)
+    def test_between_the_average_row_sum_and_the_radius(self, operator, oracle):
+        # Tight on regular graphs, where all three are equal.
+        row_total = 2 if operator == "adjacency" else 4
+        for n in range(2, 8):
+            for g in enumerate_connected_graphs(n):
+                bound = experiments._degree_bound(operator, n, graph_code(g))
+                assert row_total * g.m / n - 1e-12 <= bound <= oracle(g) + 1e-12
 
 
 class TestPrunedSearchMatchesFullScan:
