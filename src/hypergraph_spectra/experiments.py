@@ -135,9 +135,9 @@ def min_rho_search(
     and lower >= (1 - tol)*upper, so it is at least rho - tol*(rho + 1)/2,
     and for a class with rho >= L at least L - tol*(L + 1)/2. An excluded
     class would therefore have computed a radius above best + 10*tol: it
-    could neither tie nor win, whatever the final best, which is never
-    above best. The margin left over, tol*(L + 3)/2, exceeds the rounding
-    of the bracket and of L.
+    could neither tie nor win, since the final best is no higher. The
+    margin left over, tol*(L + 3)/2, exceeds the rounding of the bracket
+    and of L.
 
     The search first solves C_n (odd n) or C_{n-1} plus a pendant edge
     (even n), whose radius U seeds best. A class with m edges has
