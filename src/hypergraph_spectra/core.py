@@ -204,14 +204,16 @@ def is_connected(h: Hypergraph) -> bool:
     while True:
         seen = label[edges]
         low = seen.min(axis=1)
-        if np.all(seen == low[:, None]):
-            return bool(np.all(label == 0))
+        if (seen == low[:, None]).all():
+            return bool((label == 0).all())
         np.minimum.at(label, seen, low[:, None])
         while True:
             up = label[label]
-            if np.array_equal(up, label):
+            if (up == label).all():
                 break
             label = up
+        if not label.any():
+            return True  # every root is vertex 0: no need to look at the edges again
 
 
 # Smallest relative bracket width accepted: about 45 units in the last

@@ -85,7 +85,15 @@ def _perm_bit_tables(n: int) -> np.ndarray:
     index = np.zeros((n, n), dtype=np.int32)
     for b, (u, v) in enumerate(pairs):
         index[u, v] = index[v, u] = b
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp).T
+    # perms[:, p]: the p-th permutation in itertools' lexicographic order,
+    # built a size at a time: each first entry f, then every permutation of
+    # the rest with the entries from f on moved up by one.
+    perms = np.zeros((0, 1), dtype=np.intp)
+    for size in range(1, n + 1):
+        first = np.repeat(np.arange(size), perms.shape[1])
+        rest = np.tile(perms, size)
+        rest += rest >= first
+        perms = np.vstack([first, rest])
     return np.int32(1) << index[perms[[u for u, _ in pairs]], perms[[v for _, v in pairs]]]
 
 

@@ -225,10 +225,11 @@ def verify_theorem_nob(n_max: int, ks=(4, 6)) -> ExperimentReport:
 
 def _deleted_edge_tree(n: int) -> SimpleGraph:
     """C_{2n+1} plus pendant with the cycle edge opposite the branch vertex
-    removed: a spider with legs n, n, 1."""
-    g = cycle_plus_pendant(2 * n + 2)
-    cut = (n + 1, n + 2)
-    return SimpleGraph(g.n, tuple(e for e in g.edges if e != cut))
+    removed: a spider with legs n, n, 1. On the vertices of
+    cycle_plus_pendant(2n + 2), the legs are 1-0, 1-2-...-(n+1) and
+    1-(2n+1)-2n-...-(n+2)."""
+    legs = [(0, 1), (1, 2 * n + 1)] + [(i, i + 1) for i in range(1, 2 * n + 1) if i != n + 1]
+    return SimpleGraph(2 * n + 2, tuple(legs))
 
 
 def convergence_report(

@@ -25,17 +25,20 @@ bound. The Jacobian is a rank-m update of a diagonal, so the step solves
 either the n x n vertex system or, by the Woodbury identity, an m x m
 edge system, whichever costs less; hypergraphs with fewer edges than
 vertices, such as the half-edge lifts and loose paths, take the edge
-system. Newton-Noda steps start once the power steps taken, or those still
-needed by the bracket's contraction, would cost more than the about ten
-Newton-Noda steps (four for k = 2) that finish; so inputs with a clear
-spectral gap stay on power steps. A step whose solve fails or whose
-solution is not strictly positive is a power step too. When the system
-solved would be larger than 2048 there are no Newton-Noda steps; instead
-each power step is mixed with the last five by type-II Anderson
-acceleration (Walker and Ni, SIAM J. Numer. Anal. 49, 2011). A mix is used
-only when it is strictly positive, and one that widens the bracket is
-replaced by the power step it displaced. The reported bracket is that of
-the final positive vector, however it was found.
+system. A graph's (k = 2) Jacobian is its matrix, which does not depend
+on x: it is built and negated once per tensor, on its first step, so each
+step is one copy, one diagonal shift and one solve. Newton-Noda steps
+start once the power steps taken, or those still needed by the bracket's
+contraction, would cost more than the about ten Newton-Noda steps (four
+for k = 2) that finish; so inputs with a clear spectral gap stay on power
+steps. A step whose solve fails or whose solution is not strictly
+positive is a power step too. When the system solved would be larger
+than 2048 there are no Newton-Noda steps; instead each power step is
+mixed with the last five by type-II Anderson acceleration (Walker and Ni,
+SIAM J. Numer. Anal. 49, 2011). A mix is used only when it is strictly
+positive, and one that widens the bracket is replaced by the power step
+it displaced. The reported bracket is that of the final positive vector,
+however it was found.
 """
 
 from __future__ import annotations
@@ -122,10 +125,12 @@ class AdjacencyTensor:
         # array on every call.
         self._edges = h.edge_array.copy()
         self._deg = np.bincount(self._edges.ravel(), minlength=h.n).astype(float)
-        # Index tables of the two Newton-Noda systems, built on the first
-        # step that solves one: they do not depend on x.
+        # Index tables of the two Newton-Noda systems, and for k = 2 the
+        # negated Jacobian, built on the first step that needs one: they do
+        # not depend on x.
         self._vertex_pairs: tuple[np.ndarray, np.ndarray] | None = None
         self._edge_pairs: tuple[np.ndarray, np.ndarray] | None = None
+        self._negated_jacobian: np.ndarray | None = None
         if not h.m:
             # No buffers and no views: there are 2(k-1) of them whatever m
             # is, and an edgeless header may declare any k.
@@ -144,6 +149,9 @@ class AdjacencyTensor:
         self._products = tuple((L[j - 1], X[j - 1], L[j]) for j in range(1, h.k)) + tuple(
             (R[j + 1], X[j + 1], R[j]) for j in range(h.k - 2, -1, -1)
         )
+        # For a graph each end's product is the other end's entry, gathered
+        # directly: the same values, without the three multiplies by 1.
+        self._partners = self._edges[:, ::-1].copy() if h.k == 2 else None
 
     def __reduce__(self):
         # Copies and pickles rebuild the buffers: a copied column view would
@@ -163,10 +171,13 @@ class AdjacencyTensor:
             return np.zeros(self.dim)
         # Every index is a vertex, so "clip" changes nothing; it only spares
         # the buffered copy that the default bounds check makes of out.
-        np.take(x, self._edges, out=self._gathered, mode="clip")
-        for a, b, out in self._products:
-            np.multiply(a, b, out=out)
-        np.multiply(self._left, self._right, out=self._gathered)
+        if self._partners is not None:
+            x.take(self._partners, out=self._gathered, mode="clip")
+        else:
+            x.take(self._edges, out=self._gathered, mode="clip")
+            for a, b, out in self._products:
+                np.multiply(a, b, out=out)
+            np.multiply(self._left, self._right, out=self._gathered)
         # bincount adds in the same order as np.add.at, at a fraction of the cost.
         return np.bincount(self._edges.ravel(), weights=self._gathered.ravel(), minlength=self.dim)
 
@@ -180,20 +191,22 @@ class AdjacencyTensor:
         edges holding both u and v, the product of x over the other k-2
         vertices. Symmetric with a zero diagonal."""
         x = self._check_vector(x)
+        if not self.hypergraph.m:
+            return np.zeros((self.dim, self.dim))  # bincount would count in integers
         if self._vertex_pairs is None:
-            # For each slot pair (i, j), i < j, of an edge: the flat index of
-            # entry (E[e, i], E[e, j]), which lies above the diagonal since
-            # edges are sorted, and the k-2 positions left over.
+            # For each ordered slot pair (i, j), i != j, of an edge: the flat
+            # index of entry (E[e, i], E[e, j]) and the k-2 positions left
+            # over. Each entry takes its weights in edge order, so (u, v)
+            # and (v, u) add the same terms in the same order.
             k, E = self.order, self._edges
-            pairs = np.array(list(itertools.combinations(range(k), 2)), dtype=np.intp)
+            pairs = list(itertools.permutations(range(k), 2))
             others = np.array([[w for w in range(k) if w not in p] for p in pairs], dtype=np.intp)
-            flat = E[:, pairs[:, 0]] * self.dim + E[:, pairs[:, 1]]
+            i, j = np.array(pairs, dtype=np.intp).T
+            flat = E[:, i] * self.dim + E[:, j]
             self._vertex_pairs = flat.ravel(), others.reshape(len(pairs), k - 2)
         flat, others = self._vertex_pairs
         weights = np.prod(x[self._edges][:, others], axis=2)
-        above = np.bincount(flat, weights=weights.ravel(), minlength=self.dim**2)
-        above = above.astype(float, copy=False).reshape(self.dim, self.dim)
-        return above + above.T
+        return np.bincount(flat, weights=weights.ravel(), minlength=self.dim**2).reshape(self.dim, self.dim)
 
     def _shared_vertex_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every ordered pair of edge slots that hold the same vertex, each
@@ -237,7 +250,7 @@ class SignlessLaplacianTensor(AdjacencyTensor):
         x = self._check_vector(x)
         jac = super().jacobian(x)
         k = self.order
-        jac[np.diag_indices(self.dim)] += (k - 1) * self._deg * x ** (k - 2)
+        jac.ravel()[:: self.dim + 1] += (k - 1) * self._deg * x ** (k - 2)
         return jac
 
 
@@ -320,10 +333,20 @@ def _newton_pays(k: int, price: float, slots: int, power_steps: int, contraction
 
 def _vertex_solve(t: AdjacencyTensor, x: np.ndarray, lam: float) -> np.ndarray:
     """w = M^{-1} x^{[k-1]} by one dense n x n solve, M assembled from the
-    Jacobian."""
-    k = t.order
-    m = -t.jacobian(x)
-    m[np.diag_indices(len(x))] += (k - 1) * lam * x ** (k - 2)
+    Jacobian. For a graph (k = 2) M = lam I - J with J the matrix itself,
+    so -J is built on the tensor's first step and each step only copies it
+    and shifts its diagonal."""
+    k, n = t.order, t.dim
+    if k == 2:
+        if t._negated_jacobian is None:
+            jac = t.jacobian(x)
+            t._negated_jacobian = np.negative(jac, out=jac)
+        m = t._negated_jacobian.copy()
+        m.ravel()[:: n + 1] += lam  # the diagonal, as a strided view
+        return np.linalg.solve(m, x)
+    m = t.jacobian(x)
+    np.negative(m, out=m)
+    m.ravel()[:: n + 1] += (k - 1) * lam * x ** (k - 2)
     return np.linalg.solve(m, x ** (k - 1))
 
 
@@ -350,7 +373,7 @@ def _edge_solve(t: AdjacencyTensor, x: np.ndarray, lam: float) -> np.ndarray:
     pair_edges, pair_vertex = t._shared_vertex_pairs()
     system = np.bincount(pair_edges, weights=h_inv[pair_vertex], minlength=m * m).reshape(m, m)
     system *= -prod
-    system.flat[:: m + 1] += 1.0
+    system.ravel()[:: m + 1] += 1.0
     z = np.linalg.solve(system, (xk * h_inv)[E].sum(axis=1))
     return x * h_inv * (xk + np.bincount(E.ravel(), weights=np.repeat(prod * z, k), minlength=n))
 
@@ -366,20 +389,21 @@ def _newton_noda_step(t: AdjacencyTensor, x: np.ndarray, lam: float, edge_system
     first-order part is the Newton step on (x, lambda). M is a nonsingular
     M-matrix when lam > rho, so w > 0; then, by the AM-GM inequality on each
     edge term, every Collatz-Wielandt ratio of the result lies below lam.
-    For k = 2 the result is w, Noda's shifted inverse iteration. None when
-    the solve fails or the result is not finite and strictly positive.
+    For k = 2 the mean is w itself, and the step is one solve: Noda's
+    shifted inverse iteration, w / max(w). None when the solve fails or the
+    result is not finite and strictly positive.
     """
     k = t.order
     try:
         w = (_edge_solve if edge_system else _vertex_solve)(t, x, lam)
     except np.linalg.LinAlgError:
         return None
-    if not np.all(w > 0):
+    if k > 2 and (w > 0).all():  # any other w fails the test below as it is
+        w = x ** ((k - 2) / (k - 1)) * w ** (1.0 / (k - 1))
+    top = w.max()
+    if not (w.min() > 0 and top < math.inf):  # both false for NaN
         return None
-    x = x ** ((k - 2) / (k - 1)) * w ** (1.0 / (k - 1))
-    if not (np.all(np.isfinite(x)) and np.all(x > 0)):
-        return None
-    return x / x.max()
+    return w / top
 
 
 class _AndersonMixer:
@@ -453,7 +477,7 @@ def _bracketed_iteration(t: AdjacencyTensor, tol: float, max_iter: int):
     lower = upper = width = math.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        xk = x ** (k - 1)
+        xk = x if k == 2 else x ** (k - 1)  # x ** 1 is x itself
         y = t.apply(x) + xk
         s = y / xk
         lower = float(s.min())
@@ -471,7 +495,7 @@ def _bracketed_iteration(t: AdjacencyTensor, tol: float, max_iter: int):
         width = upper - lower
         step = _newton_noda_step(t, x, upper - 1.0, edge_system) if newton else None
         if step is None:
-            step = y ** (1.0 / (k - 1))
+            step = y if k == 2 else y ** (1.0 / (k - 1))
             step /= step.max()
             if mixer is not None:
                 plain, step = step, mixer.propose(x, step)

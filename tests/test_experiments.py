@@ -6,10 +6,12 @@ import pytest
 from hypergraph_spectra import (
     ExperimentReport,
     ReportCheck,
+    SimpleGraph,
     canonical_form,
     convergence_report,
     cycle_graph,
     cycle_plus_pendant,
+    degree,
     enumerate_connected_graphs,
     enumerate_connected_nonbipartite,
     experiments,
@@ -21,6 +23,7 @@ from hypergraph_spectra import (
 
 from helpers import eig_rho_adjacency, eig_rho_signless
 from test_matrixspec import C5E_RHO_A, PAW_RHO_A, PAW_RHO_Q
+from test_tensors import deleted_edge_tree
 
 
 class TestMinRhoSearch:
@@ -214,6 +217,15 @@ class TestConvergenceReport:
         assert abs(gap - (rho - tau_threshold())) <= 1e-12
         for _, _, gap, bound in report.rows:
             assert 0 < gap < bound
+
+    def test_deleted_edge_trees_match_the_cut_cycle(self):
+        # The spiders are built from their legs, not by cutting the cycle.
+        for n in range(1, 61):
+            tree = experiments._deleted_edge_tree(n)
+            assert tree == deleted_edge_tree(n)
+            assert isinstance(tree, SimpleGraph) and tree.m == 2 * n + 1
+            degrees = sorted((degree(tree, v) for v in range(tree.n)), reverse=True)
+            assert degrees == [3] + [2] * (2 * n - 2) + [1, 1, 1]
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):

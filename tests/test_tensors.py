@@ -551,6 +551,8 @@ class TestJacobian:
         x = np.array([rng.uniform(0.1, 2.0) for _ in range(h.n)])
         jac = t.jacobian(x)
         assert np.array_equal(jac, jac.T)
+        if cls is AdjacencyTensor:
+            assert not jac.diagonal().any()
         np.testing.assert_allclose(jac @ x, (k - 1) * t.apply(x), rtol=1e-13, atol=0)
 
 
@@ -688,6 +690,42 @@ class TestNewtonNoda:
         assert res.iterations == iterations
         assert np.array_equal(res.eigenvector, x)
         assert (res.lower, res.upper) == (lower - 1.0, upper - 1.0)
+
+
+class TestNodaStep:
+    """For a graph (k = 2) a Newton-Noda step is one solve with the
+    matrix: w = (lam I - M)^{-1} x, then w / max(w)."""
+
+    @pytest.mark.parametrize(
+        "cls, matrix", [(AdjacencyTensor, adjacency_matrix), (SignlessLaplacianTensor, signless_laplacian_matrix)]
+    )
+    def test_step_is_one_solve_with_the_matrix(self, cls, matrix):
+        rng = random.Random(16)
+        nrng = np.random.default_rng(16)
+        for _ in range(20):
+            n = rng.randint(2, 40)
+            h = random_hypergraph(rng, 2, n, rng.randint(1, 3 * n))
+            t = cls(h)
+            m = matrix(h)
+            # The first step builds the tensor's negated matrix, later ones reuse it.
+            for _ in range(3):
+                x = nrng.uniform(0.05, 1.0, n)
+                lam = float(s_ratios(t, x).max()) + rng.uniform(0.01, 1.0)  # above rho
+                w = np.linalg.solve(lam * np.eye(n) - m, x)
+                assert np.array_equal(tensors._vertex_solve(t, x, lam), w)
+                assert np.array_equal(tensors._newton_noda_step(t, x, lam, False), w / w.max())
+
+    def test_matrix_is_built_lazily_and_once(self):
+        # A regular graph's first bracket is exact: no step, no matrix.
+        regular = AdjacencyTensor(cycle_graph(7))
+        assert power_iteration_rho(regular).iterations == 1
+        assert regular._negated_jacobian is None
+        t = AdjacencyTensor(cycle_plus_pendant(12))
+        power_iteration_rho(t, tol=1e-13)
+        built = t._negated_jacobian
+        assert np.array_equal(built, -adjacency_matrix(t.hypergraph))
+        power_iteration_rho(t, tol=1e-13)
+        assert t._negated_jacobian is built
 
 
 class TestEdgeSystem:
