@@ -32,33 +32,51 @@ class _RefusedEdge(ValueError):
         self.row = row
 
 
+def _increasing(cols: np.ndarray) -> bool:
+    """Whether the rows held as (k, m) slot columns are in strictly
+    increasing lexicographic order: each pair's first nonzero step is
+    positive."""
+    step = cols[:, 1:] - cols[:, :-1]
+    if not step.size:
+        return True  # at most one row; this also spares an edgeless header's k entries
+    lead = np.where(step != 0, np.arange(len(step))[:, None], len(step) - 1).min(axis=0)
+    return bool((step.ravel()[lead * step.shape[1] + np.arange(step.shape[1])] > 0).all())
+
+
 def canonical_edges(edges: np.ndarray, n: int) -> tuple[np.ndarray | None, int | None]:
     """Canonical form of an (m, k) integer array of edges, or its first fault.
 
     Returns (canon, None) when every row is a set of k distinct vertices of
     0..n-1 and no two rows are the same set; canon holds the rows sorted
-    ascending, in lexicographic order, as a new intp array. Otherwise
-    returns (None, i) with i the first row, in input order, that is out of
-    range, repeats a vertex, or is the same set as an earlier row.
+    ascending, in lexicographic order, as a new intp array: the (m, k)
+    transpose of C-contiguous (k, m) slot columns. Otherwise returns
+    (None, i) with i the first row, in input order, that is out of range,
+    repeats a vertex, or is the same set as an earlier row.
+
+    Every check runs on the slot columns, where numpy reduces over the
+    short leading axis many times faster than over the short trailing axis
+    of the rows. Rows that already ascend, as in canonical files, are not
+    sorted again.
     """
-    bad = ((edges < 0) | (edges >= n)).any(axis=1)
+    cols = edges.T.copy()
+    bad = ((cols < 0) | (cols >= n)).any(axis=0)
+    if not (cols[1:] > cols[:-1]).all():
+        cols.sort(axis=0)
+        bad |= (cols[1:] == cols[:-1]).any(axis=0)
     # Out-of-range rows are already bad, so wrapping them in the cast is harmless.
-    rows = np.sort(edges, axis=1).astype(np.intp, copy=False)
-    bad |= (rows[:, 1:] == rows[:, :-1]).any(axis=1)
-    first = int(bad.argmax()) if bad.any() else len(rows)
-    canon = rows[:first]
-    step = canon[1:] - canon[:-1]
-    if not np.all(step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0):
-        # Not already in strictly increasing order. lexsort is stable, so
-        # each set's first occurrence leads its run.
-        order = np.lexsort(canon.T[::-1])
-        canon = canon[order]
-        repeats = order[1:][(canon[1:] == canon[:-1]).all(axis=1)]
+    cols = cols.astype(np.intp, copy=False)
+    first = int(bad.argmax()) if bad.any() else cols.shape[1]
+    canon = cols[:, :first]
+    if not _increasing(canon):
+        # lexsort is stable, so each set's first occurrence leads its run.
+        order = np.lexsort(canon[::-1])
+        canon = canon.take(order, axis=1)
+        repeats = order[1:][(canon[:, 1:] == canon[:, :-1]).all(axis=0)]
         if repeats.size:
             first = min(first, int(repeats.min()))
-    if first < len(rows):
+    if first < cols.shape[1]:
         return None, first
-    return canon, None
+    return canon.T, None
 
 
 @dataclass(frozen=True)
@@ -67,8 +85,10 @@ class Hypergraph:
 
     edges may also be an (m, k) integer array, which numpy checks and puts
     in canonical form; `edges` is then the same tuple of tuples as for the
-    rows given as tuples. edge_array holds the canonical edges as a
-    read-only (m, k) intp array.
+    rows given as tuples, built on first access, so a numeric path that
+    reads only edge_array never builds it. edge_array holds the canonical
+    edges as a read-only (m, k) intp array, the transpose of C-contiguous
+    (k, m) slot columns.
     """
 
     k: int
@@ -97,8 +117,7 @@ class Hypergraph:
                 raise _RefusedEdge(self._refusal(tuple(rows[row].tolist())), row)
             canon.flags.writeable = False
             self.__dict__["edge_array"] = canon  # where cached_property keeps it
-            # Zipped columns build the tuples about twice as fast as rows.
-            object.__setattr__(self, "edges", tuple(zip(*canon.T.tolist())) if len(canon) else ())
+            del self.__dict__["edges"]  # until __getattr__ builds it
             return
         seen: set[tuple[int, ...]] = set()
         canon = []
@@ -129,21 +148,35 @@ class Hypergraph:
             return f"edge {e!r} out of range for n={self.n}"
         return f"duplicate edge {se}"
 
+    def __getattr__(self, name: str):
+        # Reached only for what neither the instance nor the class holds:
+        # the edges of an array-built hypergraph, until first read.
+        if name != "edges" or "edge_array" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        # Zipped columns build the tuples about twice as fast as rows.
+        edges = self.__dict__["edges"] = tuple(zip(*self.edge_array.T.tolist()))
+        return edges
+
     @property
     def m(self) -> int:
-        return len(self.edges)
+        arr = self.__dict__.get("edge_array")
+        return len(self.edges if arr is None else arr)
 
     @cached_property
     def edge_array(self) -> np.ndarray:
-        arr = np.array(self.edges, dtype=np.intp).reshape(self.m, self.k)
+        arr = np.asfortranarray(np.array(self.edges, dtype=np.intp).reshape(self.m, self.k))
         arr.flags.writeable = False
         return arr
 
     def __getstate__(self) -> dict:
-        # A pickled array comes back writeable; the copy rebuilds its own.
-        state = self.__dict__.copy()
-        state.pop("edge_array", None)
-        return state
+        # The edges as tuples: a pickled array comes back writeable, so the
+        # copy rebuilds its own.
+        return {"k": self.k, "n": self.n, "edges": self.edges}
+
+
+# The dataclass keeps the default () as a class attribute, which would
+# answer for the edges an array-built instance has not built yet.
+del Hypergraph.edges
 
 
 @dataclass(frozen=True)
@@ -193,20 +226,23 @@ def is_connected(h: Hypergraph) -> bool:
     """True when every vertex is reachable from vertex 0 through edges.
 
     A single vertex with no edges counts as connected; extra isolated
-    vertices do not. Decided on h.edge_array by hook-and-compress
-    labelling: each round hooks every label an edge sees to the smallest of
-    them, then points every vertex at its label's root. Labels only
-    decrease, and each round at least halves the number of labels in every
-    component that has more than one, so there are O(log n) rounds.
+    vertices do not. Decided on the (k, m) slot columns h.edge_array.T by
+    hook-and-compress labelling: each round hooks every label an edge sees
+    to the smallest of them, then points every vertex at its label's root.
+    Labels only decrease, and each round at least halves the number of
+    labels in every component that has more than one, so there are
+    O(log n) rounds.
     """
-    edges = h.edge_array
+    slots = h.edge_array.T
     label = np.arange(h.n)
     while True:
-        seen = label[edges]
-        low = seen.min(axis=1)
-        if (seen == low[:, None]).all():
+        seen = label[slots]
+        low = seen.min(axis=0)
+        if (seen == low).all():
             return bool((label == 0).all())
-        np.minimum.at(label, seen, low[:, None])
+        # A flat index and values of its length: given the (k, m) index and
+        # (m,) values, np.minimum.at has returned wrong labels (numpy 2.4).
+        np.minimum.at(label, seen.ravel(), np.tile(low, len(slots)))
         while True:
             up = label[label]
             if (up == label).all():

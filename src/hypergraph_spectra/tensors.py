@@ -164,9 +164,13 @@ class AdjacencyTensor:
             raise ValueError(f"expected a vector of length {self.dim}, got shape {arr.shape}")
         return arr
 
-    def apply(self, x) -> np.ndarray:
-        """A x^{k-1} as a length-n vector."""
-        x = self._check_vector(x)
+    def apply(self, x, xk=None) -> np.ndarray:
+        """A x^{k-1} as a length-n vector. A caller that holds the entrywise
+        power x^{[k-1]} may pass it as xk, for the diagonal of Q."""
+        return self._adjacency(self._check_vector(x))
+
+    def _adjacency(self, x: np.ndarray) -> np.ndarray:
+        """A x^{k-1} for a checked x."""
         if not self.hypergraph.m:
             return np.zeros(self.dim)
         # Every index is a vertex, so "clip" changes nothing; it only spares
@@ -236,10 +240,13 @@ class SignlessLaplacianTensor(AdjacencyTensor):
 
     kind = "signless-laplacian"
 
-    def apply(self, x) -> np.ndarray:
-        """Q x^{k-1}: A x^{k-1} plus deg_u x_u^{k-1}."""
+    def apply(self, x, xk=None) -> np.ndarray:
+        """Q x^{k-1}: A x^{k-1} plus deg_u x_u^{k-1}, the latter from xk,
+        the entrywise power x^{[k-1]}, when given."""
         x = self._check_vector(x)
-        return super().apply(x) + self._deg * x ** (self.order - 1)
+        if xk is None:
+            xk = x if self.order == 2 else x ** (self.order - 1)  # x ** 1 is x itself
+        return self._adjacency(x) + self._deg * xk
 
     def row_sums(self) -> np.ndarray:
         return super().row_sums() + self._deg
@@ -478,7 +485,7 @@ def _bracketed_iteration(t: AdjacencyTensor, tol: float, max_iter: int):
     iterations = 0
     for iterations in range(1, max_iter + 1):
         xk = x if k == 2 else x ** (k - 1)  # x ** 1 is x itself
-        y = t.apply(x) + xk
+        y = t.apply(x, xk) + xk
         s = y / xk
         lower = float(s.min())
         upper = float(s.max())
