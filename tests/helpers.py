@@ -7,8 +7,9 @@ matrices, GF(2) systems go through eager Gauss-Jordan elimination, the
 adjacency action scatters with np.add.at, Jacobians are summed edge by edge
 in a loop, the power iteration is the plain shifted loop, strong
 connectivity is counted by Tarjan's algorithm on the co-occurrence arc
-lists, connected classes come from a scan of every labelled graph, and
-files are read one line at a time with str.splitlines, str.split and int().
+lists, connected classes come from a scan of every labelled graph, edge
+arrays are checked as sorted tuples against a seen-set, and files are read
+one line at a time with str.splitlines, str.split and int().
 """
 
 from __future__ import annotations
@@ -33,6 +34,18 @@ def brute_odd_bipartite(h: Hypergraph) -> bool:
         else:
             return True
     return False
+
+
+def canonical_edges_reference(rows: list[list[int]], n: int) -> tuple[list[tuple[int, ...]] | None, int | None]:
+    """(sorted edge tuples, None), or (None, first row that is out of
+    range, repeats a vertex or repeats an earlier row's set)."""
+    seen: set[tuple[int, ...]] = set()
+    for i, row in enumerate(rows):
+        edge = tuple(sorted(row))
+        if len(set(edge)) < len(edge) or edge[0] < 0 or edge[-1] >= n or edge in seen:
+            return None, i
+        seen.add(edge)
+    return sorted(seen), None
 
 
 def adjacency_matrix(g: SimpleGraph) -> np.ndarray:

@@ -4,18 +4,32 @@ import pickle
 import random
 import re
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergraph_spectra import (
+    AdjacencyTensor,
     Bipartition,
     Hypergraph,
+    SignlessLaplacianTensor,
     SimpleGraph,
+    cycle_plus_pendant,
     degree,
+    generalized_power,
     is_connected,
+    parse_hypergraph,
+    power_iteration_rho,
     remove_edge,
+    rho_bounds,
     s_cycle,
+    serialize_hypergraph,
 )
+from hypergraph_spectra.core import _increasing, canonical_edges
+
+from helpers import canonical_edges_reference
 
 
 class TestSimpleGraph:
@@ -288,6 +302,140 @@ class TestConnectivity:
     def test_overlapping_edges_connected(self):
         h = Hypergraph(4, 6, ((0, 1, 2, 3), (2, 3, 4, 5)))
         assert is_connected(h)
+
+
+@st.composite
+def uniform_unions(draw):
+    """(k, n, edges): a k-uniform hypergraph on at most 40 vertices made of
+    up to three random parts and up to three isolated vertices, relabelled
+    by a random permutation, with its edges in random order."""
+    k = draw(st.integers(2, 6))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    n = sum(sizes) + draw(st.integers(0, 3))
+    edges = set()
+    start = 0
+    for size in sizes:
+        if size >= k:
+            for _ in range(draw(st.integers(0, 2 * size))):
+                part = st.integers(start, start + size - 1)
+                edges.add(tuple(sorted(draw(st.lists(part, min_size=k, max_size=k, unique=True)))))
+        start += size
+    label = draw(st.permutations(range(n)))
+    return k, n, draw(st.permutations([tuple(label[v] for v in e) for e in edges]))
+
+
+def two_section(n: int, edges) -> nx.Graph:
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    for e in edges:
+        g.add_edges_from((u, v) for i, u in enumerate(e) for v in e[i + 1 :])
+    return g
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(uniform_unions())
+def test_is_connected_agrees_with_networkx_on_the_two_section(case):
+    k, n, edges = case
+    expected = nx.is_connected(two_section(n, edges))
+    rows = np.array(edges, dtype=np.int64).reshape(len(edges), k)
+    assert is_connected(Hypergraph(k, n, tuple(edges))) == expected
+    assert is_connected(Hypergraph(k, n, rows)) == expected
+
+
+DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@st.composite
+def edge_arrays(draw):
+    """(rows, n): an (m, k) array of a random integer dtype whose rows are
+    k vertices of 0..n-1 or more, unsorted, ascending or fully canonical,
+    with some rows then given an out-of-range entry, a repeated vertex, or
+    the set of an earlier row."""
+    dtype = draw(st.sampled_from(DTYPES))
+    info = np.iinfo(dtype)
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 40))
+    rows = [list(draw(st.permutations(range(max(n, k))))[:k]) for _ in range(draw(st.integers(0, 20)))]
+    order = draw(st.sampled_from(["unsorted", "ascending", "canonical"]))
+    if order != "unsorted":
+        rows = [sorted(r) for r in rows]
+    if order == "canonical":
+        rows = [list(r) for r in sorted({tuple(r) for r in rows})]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        row, j = rows[i], draw(st.integers(0, k - 1))
+        fault = draw(st.sampled_from(["range", "repeat", "duplicate"]))
+        if fault == "range":
+            above = st.integers(n, int(info.max))
+            row[j] = draw(above | st.integers(int(info.min), -1) if info.min < 0 else above)
+        elif fault == "repeat":
+            row[j] = row[(j + draw(st.integers(1, k - 1))) % k]
+        else:
+            rows.insert(draw(st.integers(i + 1, len(rows))), draw(st.permutations(row)))
+    return np.array(rows, dtype=dtype).reshape(len(rows), k), n
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(edge_arrays())
+def test_canonical_edges_agrees_with_sorted_tuples_and_a_seen_set(case):
+    rows, n = case
+    before = rows.copy()
+    canon, row = canonical_edges(rows, n)
+    expected, expected_row = canonical_edges_reference(rows.tolist(), n)
+    assert row == expected_row
+    cast = rows.astype(np.intp)
+    listed = cast.tolist()
+    assert _increasing(cast.T) == all(a < b for a, b in zip(listed, listed[1:]))
+    np.testing.assert_array_equal(rows, before)
+    if row is None:
+        assert canon.tolist() == [list(e) for e in expected]
+        assert canon.dtype == np.intp and canon.T.flags.c_contiguous
+        assert not np.shares_memory(canon, rows)
+    else:
+        assert canon is None
+
+
+class TestEdgesOnDemand:
+    """An array-built Hypergraph builds its edge tuples only when read."""
+
+    @staticmethod
+    def lift():
+        h, _ = generalized_power(cycle_plus_pendant(9), 4, 2)
+        return h
+
+    @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
+    def test_numeric_path_never_builds_edges(self, cls):
+        h = parse_hypergraph(serialize_hypergraph(self.lift()))
+        assert "edges" not in h.__dict__
+        t = cls(h)
+        assert power_iteration_rho(t, tol=1e-12).converged
+        lo, hi = rho_bounds(t)
+        assert (h.m, lo <= hi, is_connected(h)) == (self.lift().m, True, True)
+        assert "edges" not in h.__dict__
+        assert h.edges == self.lift().edges and "edges" in h.__dict__
+
+    COPIERS = [
+        lambda h: pickle.loads(pickle.dumps(h)),
+        copy.copy,
+        copy.deepcopy,
+        dataclasses.replace,
+        lambda h: dataclasses.replace(h, n=h.n),
+    ]
+
+    @pytest.mark.parametrize("copier", COPIERS, ids=["pickle", "copy", "deepcopy", "replace", "replace-n"])
+    def test_copies_equal_the_tuple_built_hypergraph(self, copier):
+        from_tuples = self.lift()
+        h = copier(Hypergraph(from_tuples.k, from_tuples.n, from_tuples.edge_array[::-1].copy()))
+        assert type(h) is Hypergraph
+        assert h == from_tuples and from_tuples == h
+        assert hash(h) == hash(from_tuples) and repr(h) == repr(from_tuples)
+        np.testing.assert_array_equal(h.edge_array, from_tuples.edge_array)
+
+    def test_fields_and_default_unchanged(self):
+        assert [f.name for f in dataclasses.fields(Hypergraph)] == ["k", "n", "edges"]
+        assert Hypergraph(3, 4).edges == () == Hypergraph(3, 4, np.empty((0, 3), dtype=int)).edges
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            Hypergraph(3, 4, np.empty((0, 3), dtype=int)).missing
 
 
 class TestRemoveEdge:

@@ -126,6 +126,16 @@ class TestSignlessLaplacianApply:
         d = np.array([degree(h, v) for v in range(h.n)], dtype=float)
         np.testing.assert_allclose(q, a + d * x ** (h.k - 1), rtol=1e-12)
 
+    @pytest.mark.parametrize("h", [cycle_plus_pendant(9), s_cycle(6, 3, 4)], ids=["k=2", "k=6"])
+    def test_given_power_gives_the_same_bits(self, h):
+        x = np.random.default_rng(3).uniform(0.5, 1.5, size=h.n)
+        xk = x ** (h.k - 1)
+        q = SignlessLaplacianTensor(h)
+        a = AdjacencyTensor(h)
+        assert np.array_equal(q.apply(x, xk), q.apply(x))
+        assert np.array_equal(q.apply(x), a.apply(x) + q.row_sums() / 2 * xk)
+        assert np.array_equal(a.apply(x, xk), a.apply(x))
+
 
 class TestRowSums:
     def test_adjacency_row_sums_are_degrees(self):
