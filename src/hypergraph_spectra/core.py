@@ -24,14 +24,6 @@ __all__ = [
 ]
 
 
-class _RefusedEdge(ValueError):
-    """ValueError for the edge at index `row` of the edges given."""
-
-    def __init__(self, message: str, row: int):
-        super().__init__(message)
-        self.row = row
-
-
 def _increasing(cols: np.ndarray) -> bool:
     """Whether the rows held as (k, m) slot columns are in strictly
     increasing lexicographic order: each pair's first nonzero step is
@@ -114,23 +106,23 @@ class Hypergraph:
                 )
             canon, row = canonical_edges(rows, self.n)
             if canon is None:
-                raise _RefusedEdge(self._refusal(tuple(rows[row].tolist())), row)
+                raise ValueError(self._refusal(tuple(rows[row].tolist())))
             canon.flags.writeable = False
             self.__dict__["edge_array"] = canon  # where cached_property keeps it
             del self.__dict__["edges"]  # until __getattr__ builds it
             return
         seen: set[tuple[int, ...]] = set()
         canon = []
-        for row, e in enumerate(self.edges):
+        for e in self.edges:
             try:
                 # operator.index refuses floats and strings, and turns numpy
                 # integers into ints as the array path does.
                 se = tuple(sorted(map(operator.index, e)))
             except TypeError:
-                raise _RefusedEdge(self._refusal(e), row) from None
+                raise ValueError(self._refusal(e)) from None
             distinct = len(se) == self.k == len(set(se))
             if not (distinct and 0 <= se[0] and se[-1] < self.n) or se in seen:
-                raise _RefusedEdge(self._refusal(e), row)
+                raise ValueError(self._refusal(e))
             seen.add(se)
             canon.append(se)
         object.__setattr__(self, "edges", tuple(sorted(canon)))

@@ -284,7 +284,7 @@ def line_reader(text: str, magic: str) -> SimpleGraph | Hypergraph:
         raise ParseError(f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}")
     arity = 2 if magic == "graph" else header[0]
     if arity < 2 or n < 1 or m < 0:
-        raise ParseError("line 1: header values out of range")
+        raise ParseError(f"line {lineno}: header values out of range")
     edges: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     for lineno, line in lines:

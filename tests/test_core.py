@@ -106,9 +106,8 @@ class TestSimpleGraph:
 class TestVertexTypes:
     @pytest.mark.parametrize("bad", [0.5, 1.0, "1", None])
     def test_refuses_non_integer_vertex(self, make, bad):
-        with pytest.raises(ValueError, match="not a set of integer vertices") as info:
+        with pytest.raises(ValueError, match="not a set of integer vertices"):
             make(((1, 2), (bad, 2)))
-        assert info.value.row == 1
 
     def test_numpy_integers_stored_as_ints(self, make):
         g = make(((np.int64(2), np.int32(0)), (np.uint8(1), 2)))

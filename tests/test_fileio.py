@@ -1,3 +1,6 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from hypergraph_spectra import (
     serialize_graph,
     serialize_hypergraph,
 )
+from hypergraph_spectra import fileio
 from hypergraph_spectra.fileio import MAX_VERTICES
 
 from helpers import line_reader
@@ -81,6 +85,14 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="line 4"):
             parse_graph("# c\ngraph 3 2\n0 1\n0 9\n")
 
+    @pytest.mark.parametrize(
+        "parse, text",
+        [(parse_graph, "# c\n\ngraph 0 1\n"), (parse_hypergraph, "\n# c\nhypergraph 1 4 0\n")],
+    )
+    def test_header_values_out_of_range_name_the_header_line(self, parse, text):
+        with pytest.raises(ParseError, match="^line 3: header values out of range$"):
+            parse(text)
+
     def test_hypergraph_wrong_arity(self):
         with pytest.raises(ParseError, match="expected 4"):
             parse_hypergraph("hypergraph 4 5 1\n0 1 2\n")
@@ -107,7 +119,7 @@ class TestRefusedEdgeBlock:
         ],
     )
     def test_hypergraph_file(self, monkeypatch, last, message):
-        from hypergraph_spectra import core, fileio
+        from hypergraph_spectra import core
 
         calls = []
 
@@ -117,7 +129,6 @@ class TestRefusedEdgeBlock:
 
         canonical = core.canonical_edges
         monkeypatch.setattr(core, "canonical_edges", counted)
-        monkeypatch.setattr(fileio, "canonical_edges", counted)
         body = ["3 2 1 0", "4 5 6 7", "8 9 10 11", "12 13 14 15", "16 17 18 19"]
         text = "hypergraph 4 40 6\n" + "\n".join(body + [last]) + "\n"
         with pytest.raises(ParseError) as info:
@@ -209,9 +220,14 @@ LINE_ENDS = ("\n", "\r\n", "\r", "\v", "\f")
 
 
 @st.composite
-def edited_files(draw, magic: str) -> str:
+def edited_files(draw, magic: str, plain: bool = False) -> str:
     """A valid file, at most one edit that may break a rule, and random
-    spacing, line endings, comments and blank lines."""
+    spacing, line endings, comments and blank lines; or, when plain, the
+    layout serialization writes: single spaces and \\n line ends."""
+
+    def pick(options):  # the first option in a plain file
+        return options[0] if plain else draw(st.sampled_from(options))
+
     k = 2 if magic == "graph" else draw(st.integers(2, 5))
     n = draw(st.integers(k, k + 5))
     edge = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
@@ -266,12 +282,12 @@ def edited_files(draw, magic: str) -> str:
         line.insert(col, draw(st.sampled_from(("\v", "\f"))))
     text = ""
     for line in lines:
-        for _ in range(draw(st.integers(0, 1))):
+        for _ in range(0 if plain else draw(st.integers(0, 1))):
             text += draw(st.sampled_from(("", "  ", "# comment", "\t# 1 2 3"))) + draw(st.sampled_from(LINE_ENDS))
-        sep = draw(st.sampled_from(SEPARATORS))
-        text += draw(st.sampled_from(("", " ", "\t"))) + sep.join(line).replace(f"{sep}\v{sep}", "\v").replace(f"{sep}\f{sep}", "\f")
-        text += draw(st.sampled_from(("", " ", " # trailing", "#0 1")))
-        text += draw(st.sampled_from(LINE_ENDS))
+        sep = pick(SEPARATORS)
+        text += pick(("", " ", "\t")) + sep.join(line).replace(f"{sep}\v{sep}", "\v").replace(f"{sep}\f{sep}", "\f")
+        text += pick(("", " ", " # trailing", "#0 1"))
+        text += pick(LINE_ENDS)
     if draw(st.booleans()):
         text = text.rstrip("\n\r\v\f")
     return text
@@ -282,6 +298,31 @@ def edited_files(draw, magic: str) -> str:
 @given(data=st.data())
 def test_array_reader_matches_line_reader(magic, data):
     assert_readers_agree(magic, data.draw(edited_files(magic)))
+
+
+def is_plain(text: str) -> bool:
+    """Whether the lines after the first hold only ASCII digits, spaces and
+    \\n line ends, with no number longer than 18 digits."""
+    body = text.partition("\n")[2]
+    return bool(re.fullmatch("[0-9 \n]*", body)) and max(map(len, body.split()), default=0) <= 18
+
+
+@pytest.mark.parametrize("magic", sorted(READERS))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_plain_files_are_read_in_bulk(magic, data):
+    text = data.draw(edited_files(magic, plain=True))
+    returned = []
+
+    def spy(*args):
+        returned.append(real(*args))
+        return returned[-1]
+
+    real = fileio._plain_rows
+    with mock.patch.object(fileio, "_plain_rows", spy):
+        assert_readers_agree(magic, text)
+    if is_plain(text) and not isinstance(outcome(lambda t: line_reader(t, magic), text), str):
+        assert returned and returned[0] is not None
 
 
 @pytest.mark.parametrize("magic, header", [("graph", "graph 6 3"), ("hypergraph", "hypergraph 3 6 2")])
@@ -300,10 +341,15 @@ def test_array_reader_matches_line_reader_on_any_text(magic, header, body):
         "hypergraph 3 4 2\u20280 1 2\x851 2 3",
         "hypergraph 3 4 1\n0 1 \xe9\n",
         "hypergraph 3 4 1\n0 1 " + "0" * 5000 + "2\n",  # past int()'s digit limit
+        "hypergraph 3 4 1\n0 1 000000000000000002\n",  # the most digits read in bulk
         "hypergraph 3 4 1\n0 1 0000000000000000002\n",
+        "hypergraph 3 6 2\n0 1\n2 3 4 5\n",  # m·k numbers, but not k on every line
+        "hypergraph 2 4 2\n0 1 2 3\n\n",
+        "hypergraph 4 4 1\n0 1\n2 3\n",
         "hypergraph 3 4 1\n0 1 2_0\n",
         "hypergraph 3 4 1\n0 1 -0\n",
         "hypergraph 3 1000000000000 1\n",
+        "\n# c\nhypergraph 1 4 0\n",
         "# only a comment\n\n",
     ],
 )
