@@ -123,7 +123,7 @@ def _emit(text: str, outfile: str | None) -> None:
 
 
 def _read(infile: str) -> str:
-    return Path(infile).read_text(encoding="ascii")
+    return Path(infile).read_text(encoding="utf-8")
 
 
 def _emit_report(report: ExperimentReport, args) -> int:

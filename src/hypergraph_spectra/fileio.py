@@ -52,9 +52,10 @@ class ParseError(ValueError):
     """Malformed graph or hypergraph text; message carries the line number."""
 
 
-def _lines(text: str):
-    """(line number, tokens) for every line with a token outside its comment."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def _lines(text: str, start: int = 1):
+    """(line number, tokens) for every line with a token outside its comment,
+    the first line numbered start."""
+    for lineno, line in enumerate(text.splitlines(), start=start):
         tokens = line.partition("#")[0].split()
         if tokens:
             yield lineno, tokens
@@ -129,8 +130,18 @@ def _edge_rows(lines, k: int, n: int, m: int) -> np.ndarray:
 
 def _parse(text: str, magic: str, build):
     """build(k, n, rows) for the file's header values and (m, k) edge array."""
-    lines = _lines(text)
-    lineno, tokens = next(lines, (1, None))
+    head, _, block = text.partition("\n")
+    # When head splits into one line, it is line 1 and at most its line
+    # break, and the block holds every later line: a header there is read
+    # without splitting the whole text, and the block may be read in bulk.
+    tokens = None
+    if len(head.splitlines()) == 1:
+        lineno, tokens = next(_lines(head), (1, None))
+        lines = _lines(block, start=2)
+    if tokens is None:
+        block = None
+        lines = _lines(text)
+        lineno, tokens = next(lines, (1, None))
     if tokens is None:
         raise ParseError("line 1: empty input")
     if tokens[0] != magic:
@@ -145,9 +156,7 @@ def _parse(text: str, magic: str, build):
     k = header[0] if magic == "hypergraph" else 2
     if k < 2 or n < 1 or m < 0:
         raise ParseError(f"line {lineno}: header values out of range")
-    head, _, block = text.partition("\n")
-    # head is line 1 and at most its line break, so the block holds every later line.
-    if lineno == 1 and len(head.splitlines()) == 1:
+    if block is not None:
         rows = _plain_rows(block, k, m)
         if rows is not None:
             try:

@@ -19,15 +19,16 @@ The solver evaluates that bracket once per step and stops when it is narrow
 enough. Between two evaluations it takes a step of the shifted power
 iteration (Ng, Qi and Zhou, SIAM J. Matrix Anal. Appl. 2009) or a
 Newton-Noda step (after Guo, Lin and Liu, Numer. Math. 137, 2017): one
-dense linear solve with the Jacobian of x -> T x^{k-1}, which converges
-quadratically near the radius and, up to rounding, never raises the upper
-bound. The Jacobian is a rank-m update of a diagonal, so the step solves
-either the n x n vertex system or, by the Woodbury identity, an m x m
-edge system, whichever costs less; hypergraphs with fewer edges than
-vertices, such as the half-edge lifts and loose paths, take the edge
-system. A graph's (k = 2) Jacobian is its matrix, which does not depend
-on x: it is built and negated once per tensor, on its first step, so each
-step is one copy, one diagonal shift and one solve. Newton-Noda steps
+dense linear solve of one scaled system, which converges quadratically
+near the radius and, up to rounding, never raises the upper bound. That
+system is a diagonal minus one rank-one term per edge, so the step solves
+it either as the n x n vertex system or, by the Woodbury identity, as an
+m x m edge system, whichever costs less; hypergraphs with fewer edges
+than vertices, such as the half-edge lifts and loose paths, take the edge
+system. A graph's (k = 2) vertex system is its matrix with a shifted
+diagonal, and the matrix does not depend on x: its negation is built once
+per tensor, on its first step, so each step is one copy, one diagonal
+shift and one solve. Newton-Noda steps
 start once the power steps taken, or those still needed by the bracket's
 contraction, would cost more than the about ten Newton-Noda steps (four
 for k = 2) that finish; so inputs with a clear spectral gap stay on power
@@ -43,7 +44,6 @@ however it was found.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -80,7 +80,7 @@ _NEWTON_STEPS = 10
 _NODA_STEPS = 4
 
 # Step costs in edge slots of apply: a power step costs m * k plus a fixed
-# 1500, a Newton-Noda step n^2 for the Jacobian plus n^3 / 700 for the solve
+# 1500, a Newton-Noda step n^2 for its system plus n^3 / 700 for the solve
 # plus a fixed 3000. Fitted for n = 7..2048 on a 2-vCPU x86_64 host
 # (Python 3.11, numpy 2.4, OpenBLAS), each estimate within 1.5x of the
 # measured time, when a slot cost about 20 ns. The edge system is priced in
@@ -103,9 +103,9 @@ _ANDERSON_RIDGE = 1e-12
 
 class AdjacencyTensor:
     """Adjacency tensor of a k-uniform hypergraph, kept implicit: the
-    solvers need only apply (x -> A x^{k-1}), jacobian and row_sums. A
-    SimpleGraph is the hypergraph with k = 2, whose tensor is its adjacency
-    matrix.
+    solvers need only apply (x -> A x^{k-1}), row_sums and the index tables
+    of one scaled Newton-Noda system. A SimpleGraph is the hypergraph with
+    k = 2, whose tensor is its adjacency matrix.
 
     apply works in three (m, k) buffers that the tensor allocates once and
     reuses on every call, so one tensor must not serve concurrent apply
@@ -126,11 +126,11 @@ class AdjacencyTensor:
         self._edges = h.edge_array.copy()
         self._deg = np.bincount(self._edges.ravel(), minlength=h.n).astype(float)
         # Index tables of the two Newton-Noda systems, and for k = 2 the
-        # negated Jacobian, built on the first step that needs one: they do
-        # not depend on x.
-        self._vertex_pairs: tuple[np.ndarray, np.ndarray] | None = None
+        # negated adjacency matrix, built on the first step that needs one:
+        # they do not depend on x.
+        self._slot_pair_table: np.ndarray | None = None
         self._edge_pairs: tuple[np.ndarray, np.ndarray] | None = None
-        self._negated_jacobian: np.ndarray | None = None
+        self._negated_adjacency: np.ndarray | None = None
         if not h.m:
             # No buffers and no views: there are 2(k-1) of them whatever m
             # is, and an edgeless header may declare any k.
@@ -190,27 +190,15 @@ class AdjacencyTensor:
         contributes (k-1)! entries of 1/(k-1)!."""
         return self._deg.copy()
 
-    def jacobian(self, x) -> np.ndarray:
-        """Dense Jacobian of x -> A x^{k-1}: entry (u, v) sums, over the
-        edges holding both u and v, the product of x over the other k-2
-        vertices. Symmetric with a zero diagonal."""
-        x = self._check_vector(x)
-        if not self.hypergraph.m:
-            return np.zeros((self.dim, self.dim))  # bincount would count in integers
-        if self._vertex_pairs is None:
-            # For each ordered slot pair (i, j), i != j, of an edge: the flat
-            # index of entry (E[e, i], E[e, j]) and the k-2 positions left
-            # over. Each entry takes its weights in edge order, so (u, v)
-            # and (v, u) add the same terms in the same order.
-            k, E = self.order, self._edges
-            pairs = list(itertools.permutations(range(k), 2))
-            others = np.array([[w for w in range(k) if w not in p] for p in pairs], dtype=np.intp)
-            i, j = np.array(pairs, dtype=np.intp).T
-            flat = E[:, i] * self.dim + E[:, j]
-            self._vertex_pairs = flat.ravel(), others.reshape(len(pairs), k - 2)
-        flat, others = self._vertex_pairs
-        weights = np.prod(x[self._edges][:, others], axis=2)
-        return np.bincount(flat, weights=weights.ravel(), minlength=self.dim**2).reshape(self.dim, self.dim)
+    def _slot_pairs(self) -> np.ndarray:
+        """Every ordered pair of distinct slots (i, j) of every edge e, as
+        the flat index E[e, i] * n + E[e, j] of an n x n matrix, edge by edge:
+        m k (k-1) indices. Entry (u, v) takes its terms in edge order, so
+        (u, v) and (v, u) add the same terms in the same order."""
+        if self._slot_pair_table is None:
+            i, j = np.nonzero(~np.eye(self.order, dtype=bool))
+            self._slot_pair_table = (self._edges[:, i] * self.dim + self._edges[:, j]).ravel()
+        return self._slot_pair_table
 
     def _shared_vertex_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every ordered pair of edge slots that hold the same vertex, each
@@ -250,15 +238,6 @@ class SignlessLaplacianTensor(AdjacencyTensor):
 
     def row_sums(self) -> np.ndarray:
         return super().row_sums() + self._deg
-
-    def jacobian(self, x) -> np.ndarray:
-        """Dense Jacobian of x -> Q x^{k-1}: the adjacency Jacobian plus
-        (k-1) deg_u x_u^{k-2} on the diagonal."""
-        x = self._check_vector(x)
-        jac = super().jacobian(x)
-        k = self.order
-        jac.ravel()[:: self.dim + 1] += (k - 1) * self._deg * x ** (k - 2)
-        return jac
 
 
 @dataclass(frozen=True)
@@ -338,45 +317,43 @@ def _newton_pays(k: int, price: float, slots: int, power_steps: int, contraction
     return power_cost > newton_cost
 
 
-def _vertex_solve(t: AdjacencyTensor, x: np.ndarray, lam: float) -> np.ndarray:
-    """w = M^{-1} x^{[k-1]} by one dense n x n solve, M assembled from the
-    Jacobian. For a graph (k = 2) M = lam I - J with J the matrix itself,
-    so -J is built on the tensor's first step and each step only copies it
-    and shifts its diagonal."""
-    k, n = t.order, t.dim
-    if k == 2:
-        if t._negated_jacobian is None:
-            jac = t.jacobian(x)
-            t._negated_jacobian = np.negative(jac, out=jac)
-        m = t._negated_jacobian.copy()
-        m.ravel()[:: n + 1] += lam  # the diagonal, as a strided view
-        return np.linalg.solve(m, x)
-    m = t.jacobian(x)
-    np.negative(m, out=m)
-    m.ravel()[:: n + 1] += (k - 1) * lam * x ** (k - 2)
-    return np.linalg.solve(m, x ** (k - 1))
+def _scaled_solve(t: AdjacencyTensor, x: np.ndarray, lam: float, edge_system: bool) -> np.ndarray:
+    """w = M^{-1} x^{[k-1]}, M as in _newton_noda_step, through the scaled
+    system X M X = H - E diag(P) E^T: X = diag(x), E the n x m vertex-edge
+    incidence matrix, P_e the product of x over edge e, H = diag(h) with
+    h_u = (k-1) lam_u x_u^k + sum_{e at u} P_e, and lam_u = lam for A,
+    lam - deg(u) for Q.
 
-
-def _edge_solve(t: AdjacencyTensor, x: np.ndarray, lam: float) -> np.ndarray:
-    """w = M^{-1} x^{[k-1]} by one dense m x m solve in edge space.
-
-    With P_e the product of x over edge e, X = diag(x) and E the n x m
-    vertex-edge incidence matrix, the Jacobian of x -> A x^{k-1} is
-    X^{-1} E diag(P) E^T X^{-1} minus its diagonal, so X M X = H - E P E^T
-    with H = diag(h), h_u = (k-1) lam_u x_u^k + sum_{e at u} P_e, and
-    lam_u = lam for A, lam - deg(u) for Q. The Woodbury identity gives
-    w = X H^{-1} (x^{[k]} + E P z) where (I - E^T H^{-1} E P) z =
-    E^T H^{-1} x^{[k]}. Only h is inverted, never an entry of x or P, so a
-    tiny product cannot overflow.
+    The vertex form assembles that n x n matrix, whose diagonal is
+    (k-1) lam_u x_u^k, solves it against x^{[k]} and scales the solution
+    by x. The edge form is the Woodbury identity, w = X H^{-1} (x^{[k]} +
+    E P z) with (I - E^T H^{-1} E P) z = E^T H^{-1} x^{[k]}: one m x m solve
+    that inverts only h, never an entry of x or P, so a tiny product cannot
+    overflow. A graph's (k = 2) vertex form is unscaled, diag(lam_u) - A
+    against x, with -A built on the tensor's first step.
     """
     k, n = t.order, t.dim
-    E = t._edges
-    m = len(E)
-    prod = np.prod(x[E], axis=1)
-    xk = x**k
     if isinstance(t, SignlessLaplacianTensor):
         lam = lam - t._deg  # Q's diagonal moves from the Jacobian into the shift
-    h_inv = 1.0 / ((k - 1) * lam * xk + np.bincount(E.ravel(), weights=np.repeat(prod, k), minlength=n))
+    if k == 2 and not edge_system:
+        if t._negated_adjacency is None:
+            counts = np.bincount(t._slot_pairs(), minlength=n * n).reshape(n, n)
+            t._negated_adjacency = np.negative(counts, dtype=float)
+        system = t._negated_adjacency.copy()
+        system.ravel()[:: n + 1] += lam  # the diagonal, as a strided view
+        return np.linalg.solve(system, x)
+    E = t._edges
+    prod = np.prod(x[E], axis=1)
+    xk = x**k
+    diagonal = (k - 1) * lam * xk
+    if not edge_system:
+        weights = np.repeat(prod, k * (k - 1))
+        system = np.bincount(t._slot_pairs(), weights=weights, minlength=n * n).reshape(n, n)
+        np.negative(system, out=system)
+        system.ravel()[:: n + 1] += diagonal
+        return x * np.linalg.solve(system, xk)
+    m = len(E)
+    h_inv = 1.0 / (diagonal + np.bincount(E.ravel(), weights=np.repeat(prod, k), minlength=n))
     pair_edges, pair_vertex = t._shared_vertex_pairs()
     system = np.bincount(pair_edges, weights=h_inv[pair_vertex], minlength=m * m).reshape(m, m)
     system *= -prod
@@ -390,8 +367,8 @@ def _newton_noda_step(t: AdjacencyTensor, x: np.ndarray, lam: float, edge_system
 
     Solves M w = x^{[k-1]} for M = (k-1) lam diag(x^{k-2}) - J, J the
     Jacobian of x -> T x^{k-1} at x, so M is the Jacobian of
-    lam x^{[k-1]} - T x^{k-1}; through the m x m edge system when
-    edge_system, else the n x n vertex system. Returns the weighted
+    lam x^{[k-1]} - T x^{k-1}; by _scaled_solve, in its m x m edge form
+    when edge_system, else its n x n vertex form. Returns the weighted
     geometric mean x^{(k-2)/(k-1)} w^{1/(k-1)}, rescaled to max entry 1. Its
     first-order part is the Newton step on (x, lambda). M is a nonsingular
     M-matrix when lam > rho, so w > 0; then, by the AM-GM inequality on each
@@ -402,7 +379,7 @@ def _newton_noda_step(t: AdjacencyTensor, x: np.ndarray, lam: float, edge_system
     """
     k = t.order
     try:
-        w = (_edge_solve if edge_system else _vertex_solve)(t, x, lam)
+        w = _scaled_solve(t, x, lam, edge_system)
     except np.linalg.LinAlgError:
         return None
     if k > 2 and (w > 0).all():  # any other w fails the test below as it is

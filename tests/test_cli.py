@@ -391,6 +391,25 @@ class TestUsage:
         assert run_cli(["oddbip", "--in", missing]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_input_file_is_read_as_utf8(self, tmp_path, capsys):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("hypergraph 4 4 1\n0 1 2 3\n", encoding="ascii")
+        assert run_cli(["oddbip", "--in", str(plain)]) == 0
+        expected = capsys.readouterr().out
+        # A comment in UTF-8, and a digit that int() reads (ARABIC-INDIC DIGIT ZERO).
+        text = tmp_path / "text.txt"
+        text.write_text("hypergraph 4 4 1  # caf\u00e9\n\u0660 1 2 3\n", encoding="utf-8")
+        assert run_cli(["oddbip", "--in", str(text)]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_undecodable_input_file_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "h.txt"
+        path.write_bytes(b"hypergraph 4 4 1  # caf\xe9\n0 1 2 3\n")  # Latin-1, not UTF-8
+        assert run_cli(["oddbip", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_unwritable_output(self, tmp_path, capsys):
         out = str(tmp_path / "no" / "dir" / "x.txt")
         assert run_cli(["spath", "--k", "4", "--s", "2", "--d", "1", "--out", out]) == 2

@@ -325,6 +325,22 @@ def test_plain_files_are_read_in_bulk(magic, data):
         assert returned and returned[0] is not None
 
 
+class _Unsplittable(str):
+    def splitlines(self, keepends=False):
+        raise AssertionError("the whole text was split into lines")
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_graph, "graph 3 2  # a path\n0 1\n1 2\n"),
+        (parse_hypergraph, "hypergraph 3 5 2\r\n0 1 2\r\n\r\n2 3 4\r\n"),
+    ],
+)
+def test_header_on_line_one_is_read_without_splitting_the_text(parse, text):
+    assert parse(_Unsplittable(text)) == parse(text)
+
+
 @pytest.mark.parametrize("magic, header", [("graph", "graph 6 3"), ("hypergraph", "hypergraph 3 6 2")])
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(body=st.text(alphabet="0123456789012345 +-_#x\t\n\r\v\f\x1c\x1f\xa0\x85\u2028\u0663\uff11\xe9"))
@@ -351,6 +367,14 @@ def test_array_reader_matches_line_reader_on_any_text(magic, header, body):
         "hypergraph 3 1000000000000 1\n",
         "\n# c\nhypergraph 1 4 0\n",
         "# only a comment\n\n",
+        "hypergraph 3 4 1\r\n\r\n0 1 2\r\n",
+        "hypergraph 3 4 1\r0 1 2\n",  # line 1 ends in \r, before the first \n
+        "hypergraph 3 4 1\x0c\n0 1 2\n",
+        "hypergraph 3 4 2\n0 1 2\n2 1 0\n",
+        "hypergraph 3 4 1\r",
+        "\r\nhypergraph 3 4 1\n0 1 2\n",
+        "\r",
+        "",
     ],
 )
 def test_array_reader_matches_line_reader_on_odd_text(text):

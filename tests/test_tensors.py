@@ -322,8 +322,7 @@ class TestWeakIrreducibility:
     def test_diagonal_tensor_no(self):
         # edgeless: Q = D + A has only (zero) diagonal entries, no arcs
         t = SignlessLaplacianTensor(Hypergraph(3, 3))
-        jac = t.jacobian(np.ones(3))
-        np.testing.assert_array_equal(jac, np.diag(np.diag(jac)))
+        np.testing.assert_array_equal(t.apply(np.ones(3)), np.zeros(3))
         assert not weakly_irreducible(t)
 
 
@@ -532,38 +531,72 @@ class TestHalfEdgeConstancy:
             half_edge_constancy(fake, bmap)
 
 
-class TestJacobian:
-    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def vertex_system(monkeypatch, t, x: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(matrix, right-hand side, w) of one vertex-form solve, the first two
+    as passed to np.linalg.solve."""
+    solve, seen = np.linalg.solve, []
+
+    def spy(a, b):
+        seen.append((a.copy(), b.copy()))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    w = tensors._scaled_solve(t, x, lam, False)
+    monkeypatch.undo()
+    [(system, rhs)] = seen
+    return system, rhs, w
+
+
+class TestVertexSystem:
+    """For k >= 3 the vertex form solves X M X y = x^{[k]}, with
+    M = (k-1) lam diag(x^{k-2}) - J and X = diag(x), and returns w = x y."""
+
+    @staticmethod
+    def check(monkeypatch, cls, h, x, lam):
+        k, signless = h.k, cls is SignlessLaplacianTensor
+        system, rhs, w = vertex_system(monkeypatch, cls(h), x, lam)
+        m = (k - 1) * lam * np.diag(x ** (k - 2)) - jacobian_reference(h, x, signless=signless)
+        np.testing.assert_allclose(system, x[:, None] * m * x, rtol=1e-13, atol=1e-15 * lam)
+        assert np.array_equal(rhs, x**k)
+        assert np.array_equal(w, x * np.linalg.solve(system, rhs))
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
-    def test_matches_loop_reference_on_random_hypergraphs(self, k, cls):
+    def test_matches_loop_reference_on_random_hypergraphs(self, monkeypatch, k, cls):
         rng = random.Random(40 + k)
         for _ in range(10):
             n = rng.randint(k, k + 6)
             h = random_hypergraph(rng, k, n, rng.randint(1, 12))
             x = np.array([rng.uniform(0.1, 2.0) for _ in range(n)])
-            expected = jacobian_reference(h, x, signless=cls is SignlessLaplacianTensor)
-            np.testing.assert_allclose(cls(h).jacobian(x), expected, rtol=1e-13, atol=0)
+            self.check(monkeypatch, cls, h, x, rng.uniform(0.5, 20.0))
 
     @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
-    def test_matches_loop_reference_on_a_loose_path(self, cls):
+    def test_matches_loop_reference_on_a_loose_path(self, monkeypatch, cls):
         h = s_path(20, 1, 5)
         x = np.random.default_rng(5).uniform(0.5, 1.5, h.n)
-        expected = jacobian_reference(h, x, signless=cls is SignlessLaplacianTensor)
-        np.testing.assert_allclose(cls(h).jacobian(x), expected, rtol=1e-13, atol=0)
+        self.check(monkeypatch, cls, h, x, 2.5)
 
-    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
     @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
-    def test_symmetric_and_euler_identity(self, k, cls):
-        # x -> T x^{k-1} is homogeneous of degree k-1, so J(x) x = (k-1) T x^{k-1}.
+    def test_symmetric_and_euler_identity(self, monkeypatch, k, cls):
+        # x -> T x^{k-1} is homogeneous of degree k-1, so J(x) x = (k-1) T x^{k-1}
+        # and the scaled system's row sums are (k-1) x (lam x^{[k-1]} - T x^{k-1}).
         rng = random.Random(k)
         h = random_hypergraph(rng, k, k + 5, 9)
         t = cls(h)
         x = np.array([rng.uniform(0.1, 2.0) for _ in range(h.n)])
-        jac = t.jacobian(x)
-        assert np.array_equal(jac, jac.T)
-        if cls is AdjacencyTensor:
-            assert not jac.diagonal().any()
-        np.testing.assert_allclose(jac @ x, (k - 1) * t.apply(x), rtol=1e-13, atol=0)
+        lam = 3.0
+        system = vertex_system(monkeypatch, t, x, lam)[0]
+        assert np.array_equal(system, system.T)
+        expected = (k - 1) * x * (lam * x ** (k - 1) - t.apply(x))
+        np.testing.assert_allclose(system.sum(axis=1), expected, rtol=1e-12, atol=1e-13)
+
+    def test_slot_pairs_match_a_loop(self):
+        rng = random.Random(9)
+        for k in (2, 3, 5):
+            h = random_hypergraph(rng, k, 12, 15)
+            expected = [u * h.n + v for e in h.edge_array.tolist() for u in e for v in e if u != v]
+            assert AdjacencyTensor(h)._slot_pairs().tolist() == expected
 
 
 def pendant_lift(n: int) -> tuple[Hypergraph, SimpleGraph]:
@@ -722,20 +755,22 @@ class TestNodaStep:
                 x = nrng.uniform(0.05, 1.0, n)
                 lam = float(s_ratios(t, x).max()) + rng.uniform(0.01, 1.0)  # above rho
                 w = np.linalg.solve(lam * np.eye(n) - m, x)
-                assert np.array_equal(tensors._vertex_solve(t, x, lam), w)
+                assert np.array_equal(tensors._scaled_solve(t, x, lam, False), w)
                 assert np.array_equal(tensors._newton_noda_step(t, x, lam, False), w / w.max())
 
-    def test_matrix_is_built_lazily_and_once(self):
+    @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
+    def test_matrix_is_built_lazily_and_once(self, cls):
         # A regular graph's first bracket is exact: no step, no matrix.
-        regular = AdjacencyTensor(cycle_graph(7))
+        regular = cls(cycle_graph(7))
         assert power_iteration_rho(regular).iterations == 1
-        assert regular._negated_jacobian is None
-        t = AdjacencyTensor(cycle_plus_pendant(12))
+        assert regular._negated_adjacency is None
+        # Both operators keep -A; Q's degrees go into the diagonal shift.
+        t = cls(cycle_plus_pendant(12))
         power_iteration_rho(t, tol=1e-13)
-        built = t._negated_jacobian
+        built = t._negated_adjacency
         assert np.array_equal(built, -adjacency_matrix(t.hypergraph))
         power_iteration_rho(t, tol=1e-13)
-        assert t._negated_jacobian is built
+        assert t._negated_adjacency is built
 
 
 class TestEdgeSystem:
@@ -744,7 +779,8 @@ class TestEdgeSystem:
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
-    def test_matches_the_vertex_system_from_the_loop_jacobian(self, cls, k):
+    @pytest.mark.parametrize("edge_system", [False, True])
+    def test_matches_the_vertex_system_from_the_loop_jacobian(self, cls, k, edge_system):
         rng = random.Random(70 + k)
         nrng = np.random.default_rng(k)
         signless = cls is SignlessLaplacianTensor
@@ -756,10 +792,10 @@ class TestEdgeSystem:
             lam = float(s_ratios(t, x).max())
             m = (k - 1) * lam * np.diag(x ** (k - 2)) - jacobian_reference(h, x, signless=signless)
             w = np.linalg.solve(m, x ** (k - 1))
-            np.testing.assert_allclose(tensors._edge_solve(t, x, lam), w, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(tensors._scaled_solve(t, x, lam, edge_system), w, rtol=1e-12, atol=0)
             step = x ** ((k - 2) / (k - 1)) * w ** (1 / (k - 1))
             np.testing.assert_allclose(
-                tensors._newton_noda_step(t, x, lam, True), step / step.max(), rtol=1e-12, atol=0
+                tensors._newton_noda_step(t, x, lam, edge_system), step / step.max(), rtol=1e-12, atol=0
             )
 
     def test_shared_vertex_pairs_match_a_loop(self):
@@ -777,17 +813,18 @@ class TestEdgeSystem:
     @pytest.mark.parametrize(
         "build, unused",
         [
-            (lambda n: cycle_plus_pendant(2 * n + 2), "_edge_solve"),
-            (deleted_edge_tree, "_edge_solve"),
-            (lambda n: pendant_lift(n)[0], "_vertex_solve"),
-            (lambda n: s_path(20, 1, n), "_vertex_solve"),
+            (lambda n: cycle_plus_pendant(2 * n + 2), "_shared_vertex_pairs"),
+            (deleted_edge_tree, "_shared_vertex_pairs"),
+            (lambda n: pendant_lift(n)[0], "_slot_pairs"),
+            (lambda n: s_path(20, 1, n), "_slot_pairs"),
         ],
         ids=["pendant-cycle", "deleted-edge-tree", "pendant-lift", "loose-path"],
     )
     def test_one_system_per_input(self, monkeypatch, cls, build, unused):
         # Graphs (k = 2) keep the vertex system, so their results are those
-        # of a loop whose edge solve always fails; the lifts and loose paths
-        # have fewer edges than vertices and never solve the vertex system.
+        # of a loop whose edge form always fails for want of its index table;
+        # the lifts and loose paths have fewer edges than vertices and never
+        # solve the vertex system.
         calls = []
 
         def failing(*args):
@@ -798,7 +835,7 @@ class TestEdgeSystem:
             for tol in (1e-10, 1e-13):
                 t = cls(build(n))
                 before = power_iteration_rho(t, tol=tol)
-                monkeypatch.setattr(tensors, unused, failing)
+                monkeypatch.setattr(t, unused, failing)
                 after = power_iteration_rho(t, tol=tol)
                 monkeypatch.undo()
                 assert not calls and after.converged
@@ -813,7 +850,6 @@ class TestEdgeSystem:
     def test_dense_edge_sets_keep_the_vertex_system(self):
         # A k = 4 lift has twice as many edges as vertices.
         t = AdjacencyTensor(clear_gap_lift(256, 7)[0])
-        t.jacobian(np.ones(t.dim))
         assert t._edge_pairs is None
         res = power_iteration_rho(t, tol=1e-10)
         assert res.converged and t._edge_pairs is None
