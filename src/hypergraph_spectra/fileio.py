@@ -131,17 +131,12 @@ def _edge_rows(lines, k: int, n: int, m: int) -> np.ndarray:
 def _parse(text: str, magic: str, build):
     """build(k, n, rows) for the file's header values and (m, k) edge array."""
     head, _, block = text.partition("\n")
-    # When head splits into one line, it is line 1 and at most its line
-    # break, and the block holds every later line: a header there is read
-    # without splitting the whole text, and the block may be read in bulk.
-    tokens = None
-    if len(head.splitlines()) == 1:
-        lineno, tokens = next(_lines(head), (1, None))
-        lines = _lines(block, start=2)
-    if tokens is None:
-        block = None
-        lines = _lines(text)
-        lineno, tokens = next(lines, (1, None))
+    # When the text up to its first \n is one line, block holds every line
+    # from line 2 on: a header on line 1 is read without splitting the whole
+    # text, and only then may the block be read in bulk.
+    one_line = len(f"{head}\n".splitlines()) == 1
+    lines = _lines(block, start=2) if one_line else _lines(text)
+    lineno, tokens = (one_line and next(_lines(head), None)) or next(lines, (1, None))
     if tokens is None:
         raise ParseError("line 1: empty input")
     if tokens[0] != magic:
@@ -156,7 +151,7 @@ def _parse(text: str, magic: str, build):
     k = header[0] if magic == "hypergraph" else 2
     if k < 2 or n < 1 or m < 0:
         raise ParseError(f"line {lineno}: header values out of range")
-    if block is not None:
+    if one_line and lineno == 1:
         rows = _plain_rows(block, k, m)
         if rows is not None:
             try:

@@ -343,9 +343,12 @@ def test_header_on_line_one_is_read_without_splitting_the_text(parse, text):
 
 @pytest.mark.parametrize("magic, header", [("graph", "graph 6 3"), ("hypergraph", "hypergraph 3 6 2")])
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(body=st.text(alphabet="0123456789012345 +-_#x\t\n\r\v\f\x1c\x1f\xa0\x85\u2028\u0663\uff11\xe9"))
-def test_array_reader_matches_line_reader_on_any_text(magic, header, body):
-    assert_readers_agree(magic, f"{header}\n{body}")
+@given(
+    body=st.text(alphabet="0123456789012345 +-_#x\t\n\r\v\f\x1c\x1f\xa0\x85\u2028\u0663\uff11\xe9"),
+    end=st.sampled_from(["\n", "\r\n", "\r", "\v\n", "\f\n", "\x1c\n", "\x85\n", "\u2028\n", "\u2029\n"]),
+)
+def test_array_reader_matches_line_reader_on_any_text(magic, header, body, end):
+    assert_readers_agree(magic, f"{header}{end}{body}")
     assert_readers_agree(magic, body)
 
 
@@ -370,6 +373,11 @@ def test_array_reader_matches_line_reader_on_any_text(magic, header, body):
         "hypergraph 3 4 1\r\n\r\n0 1 2\r\n",
         "hypergraph 3 4 1\r0 1 2\n",  # line 1 ends in \r, before the first \n
         "hypergraph 3 4 1\x0c\n0 1 2\n",
+        "hypergraph 3 4 2\x0c\n0 1 2\n0 1 2\n",  # a second line break before the first \n
+        "hypergraph 3 4 2\x85\n0 1 2\n# c\n0 1 2\n",
+        "hypergraph 3 4 2\u2028\n0 1 2\n0 1 2\n",
+        "hypergraph 3 4 2\r\r\n0 1 2\n0 1 2\n",
+        "# c\nhypergraph 3 4 2\n0 1 2\n0 1 2\n",
         "hypergraph 3 4 2\n0 1 2\n2 1 0\n",
         "hypergraph 3 4 1\r",
         "\r\nhypergraph 3 4 1\n0 1 2\n",
