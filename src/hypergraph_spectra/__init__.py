@@ -1,33 +1,32 @@
 """Spectral theory of uniform power hypergraphs.
 
-Blow-up constructions (vertices to s-sets, edges to k-sets), parity-based
-odd-bipartiteness certificates, adjacency and signless Laplacian tensor
-spectral radii inside Collatz-Wielandt brackets, and exhaustive small-graph
-experiments around the limit point sqrt(2 + sqrt(5)). A SimpleGraph is the
-2-uniform Hypergraph, so the matrix radii of a base graph are the k = 2
-tensor solves; the signless Laplacian Q is the adjacency tensor A plus its
-degree diagonal. A solve takes power steps, then Newton-Noda steps once
-they cost less; above dimension 2048 it takes Anderson-mixed power steps
-instead.
+The public names build the objects of the theory: the generalized power
+G^{k,s} (vertices to s-sets, edges to k-sets), odd-bipartiteness with a
+checked parity certificate, the adjacency and signless Laplacian tensor
+radii inside Collatz-Wielandt brackets, and the limit point
+sqrt(2 + sqrt(5)) with the exhaustive small-graph experiments around it.
+The rest is what the command line, the experiments and the demos use. A
+SimpleGraph is the 2-uniform Hypergraph, so the matrix radii of a base
+graph are the k = 2 tensor solves; the signless Laplacian Q is the
+adjacency tensor A plus its degree diagonal. A solve takes power steps,
+then Newton-Noda steps once they cost less; above dimension 2048 it takes
+Anderson-mixed power steps instead.
 """
 
 from .constructions import (
     BlowupMap,
-    caterpillar,
     cycle_graph,
     cycle_plus_pendant,
     generalized_power,
     internal_path_edges,
-    path_graph,
     s_cycle,
     s_path,
     subdivide,
     t_graph,
 )
-from .core import Bipartition, Hypergraph, SimpleGraph, degree, is_connected, remove_edge
+from .core import Bipartition, Hypergraph, SimpleGraph, is_connected
 from .enumeration import (
     canonical_code,
-    canonical_form,
     enumerate_connected_graphs,
     enumerate_connected_nonbipartite,
     graph_code,
@@ -71,13 +70,10 @@ from .tensors import (
     AdjacencyTensor,
     SignlessLaplacianTensor,
     SpectralResult,
-    check_subsolution,
     half_edge_constancy,
     lift_vector,
     power_iteration_rho,
     rho_bounds,
-    s_ratios,
-    txk,
     weakly_irreducible,
 )
 

@@ -128,7 +128,10 @@ def _read(infile: str) -> str:
 
 def _emit_report(report: ExperimentReport, args) -> int:
     _emit(report.to_csv() if args.format == "csv" else report.to_text(), args.outfile)
-    return 0 if report.passed else 1
+    failed = [c.name for c in report.checks if not c.passed]
+    if failed:
+        raise RuntimeError("check failed: " + "; ".join(failed))
+    return 0
 
 
 def _cmd_power(args) -> int:
@@ -170,7 +173,9 @@ def _cmd_rho(args) -> int:
         f"converged = {'yes' if result.converged else 'no'}",
     ]
     _emit("\n".join(lines) + "\n", args.outfile)
-    return 0 if result.converged else 1
+    if not result.converged:
+        raise RuntimeError(f"power iteration did not converge in {result.iterations} steps")
+    return 0
 
 
 def _cmd_bounds(args) -> int:
@@ -264,7 +269,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory; the input is too large", file=sys.stderr)
         return 2
-    except RuntimeError as exc:  # non-convergence, or a certificate failing its re-check
+    except RuntimeError as exc:  # non-convergence, a failed check or a failed certificate
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,9 +13,8 @@ building anything, a result with more vertices than a file may declare
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .core import Hypergraph, SimpleGraph, is_connected
+from .core import Hypergraph, SimpleGraph, check_graph, is_connected
 from .fileio import MAX_VERTICES
 
 __all__ = [
@@ -23,11 +22,9 @@ __all__ = [
     "generalized_power",
     "s_path",
     "s_cycle",
-    "path_graph",
     "cycle_graph",
     "cycle_plus_pendant",
     "t_graph",
-    "caterpillar",
     "subdivide",
     "internal_path_edges",
 ]
@@ -70,6 +67,7 @@ def generalized_power(g: SimpleGraph, k: int, s: int) -> tuple[Hypergraph, Blowu
     1 <= s <= k/2. Isolated base vertices keep their blocks, so the result
     has s*n + (k-2s)*m vertices.
     """
+    check_graph(g)
     if k < 3:
         raise ValueError("edge size k must be at least 3")
     if s < 1 or 2 * s > k:
@@ -131,13 +129,6 @@ def s_cycle(k: int, s: int, d: int) -> Hypergraph:
     return Hypergraph(k, n, edges)
 
 
-def path_graph(n: int) -> SimpleGraph:
-    """Path on n >= 1 vertices, edges (i, i+1)."""
-    if n < 1:
-        raise ValueError("path needs at least one vertex")
-    return SimpleGraph(n, tuple((i, i + 1) for i in range(n - 1)))
-
-
 def cycle_graph(n: int) -> SimpleGraph:
     """Cycle on n >= 3 vertices."""
     if n < 3:
@@ -174,28 +165,9 @@ def t_graph(n: int) -> SimpleGraph:
     return SimpleGraph(n, tuple(edges))
 
 
-def caterpillar(pendant_counts: Sequence[int]) -> SimpleGraph:
-    """Spine path with pendant_counts[j] extra leaves at spine vertex j.
-
-    The spine vertices come first (0..len-1), then the leaves in spine
-    order. caterpillar([2]) is the star on three vertices.
-    """
-    spine = len(pendant_counts)
-    if spine < 1:
-        raise ValueError("spine must have at least one vertex")
-    if any(c < 0 for c in pendant_counts):
-        raise ValueError("pendant counts must be nonnegative")
-    edges = [(i, i + 1) for i in range(spine - 1)]
-    nxt = spine
-    for j, count in enumerate(pendant_counts):
-        for _ in range(count):
-            edges.append((j, nxt))
-            nxt += 1
-    return SimpleGraph(nxt, tuple(edges))
-
-
 def subdivide(g: SimpleGraph, u: int, w: int) -> SimpleGraph:
     """Replace the edge uw by a path u - x - w through a fresh vertex x = g.n."""
+    check_graph(g)
     a, b = (u, w) if u < w else (w, u)
     if (a, b) not in g.edges:
         raise ValueError(f"no edge ({u}, {w}) to subdivide")
@@ -213,6 +185,7 @@ def internal_path_edges(g: SimpleGraph) -> frozenset[tuple[int, int]]:
     cycle has no such vertex and yields the empty set; subdivision
     statements treat C_n separately.
     """
+    check_graph(g)
     if not is_connected(g):
         raise ValueError("graph must be connected")
     adj = g.adjacency_lists()

@@ -18,9 +18,7 @@ __all__ = [
     "SimpleGraph",
     "Hypergraph",
     "Bipartition",
-    "degree",
     "is_connected",
-    "remove_edge",
 ]
 
 
@@ -145,8 +143,10 @@ class Hypergraph:
         # the edges of an array-built hypergraph, until first read.
         if name != "edges" or "edge_array" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        # Zipped columns build the tuples about twice as fast as rows.
-        edges = self.__dict__["edges"] = tuple(zip(*self.edge_array.T.tolist()))
+        # Zipped columns build the tuples about twice as fast as rows; with
+        # no rows there are no columns to zip, however large k is.
+        arr = self.edge_array
+        edges = self.__dict__["edges"] = tuple(zip(*arr.T.tolist())) if len(arr) else ()
         return edges
 
     @property
@@ -185,11 +185,6 @@ class SimpleGraph(Hypergraph):
             adj[v].append(u)
         return adj
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edges
-
 
 @dataclass(frozen=True)
 class Bipartition:
@@ -207,11 +202,10 @@ class Bipartition:
         object.__setattr__(self, "part_two", p2)
 
 
-def degree(h: Hypergraph, v: int) -> int:
-    """Number of edges incident to vertex v."""
-    if not 0 <= v < h.n:
-        raise IndexError(f"vertex {v} out of range for n={h.n}")
-    return sum(1 for e in h.edges if v in e)
+def check_graph(h: Hypergraph) -> None:
+    """Refuse h unless it is a graph: a 2-uniform hypergraph."""
+    if h.k != 2:
+        raise ValueError(f"need a graph (k = 2), got k = {h.k}")
 
 
 def is_connected(h: Hypergraph) -> bool:
@@ -259,16 +253,3 @@ def check_solver_controls(tol: float, max_iter: int) -> None:
         raise ValueError(f"tol must be in [{_MIN_TOL:g}, 1), got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-
-
-def remove_edge(h: Hypergraph, index: int) -> Hypergraph:
-    """Copy of h with the edge at the given position deleted.
-
-    The vertex set is kept as is, so the result spans the same vertices.
-    """
-    if not 0 <= index < len(h.edges):
-        raise IndexError(f"edge index {index} out of range for m={len(h.edges)}")
-    rest = h.edges[:index] + h.edges[index + 1 :]
-    if isinstance(h, SimpleGraph):
-        return SimpleGraph(h.n, rest)
-    return Hypergraph(h.k, h.n, rest)

@@ -33,7 +33,6 @@ __all__ = [
     "graph_code",
     "graph_from_code",
     "canonical_code",
-    "canonical_form",
     "enumerate_connected_graphs",
     "enumerate_connected_nonbipartite",
 ]
@@ -107,11 +106,6 @@ def canonical_code(n: int, code: int) -> int:
     # mapped[p]: the code's edges moved by the p-th permutation.
     mapped = np.bitwise_or.reduce(bits[[b for b in range(len(bits)) if code >> b & 1]])
     return int(mapped.min())
-
-
-def canonical_form(g: SimpleGraph) -> SimpleGraph:
-    """The canonical representative of g's isomorphism class."""
-    return graph_from_code(g.n, canonical_code(g.n, graph_code(g)))
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 
 from .constructions import cycle_plus_pendant
-from .core import Hypergraph
+from .core import Hypergraph, check_graph
 from .tensors import AdjacencyTensor, SignlessLaplacianTensor, SpectralResult, power_iteration_rho
 
 __all__ = [
@@ -38,17 +38,12 @@ __all__ = [
 _MAX_LIMIT_INDEX = 64
 
 
-def _check_graph(g: Hypergraph) -> None:
-    if g.k != 2:
-        raise ValueError(f"matrix radii need a graph (k = 2), got k = {g.k}")
-
-
 def rho_adjacency_matrix(
     g: Hypergraph, tol: float = 1e-10, max_iter: int = 1_000_000
 ) -> SpectralResult:
     """rho(A(g)) as the SpectralResult of the k = 2 adjacency tensor of g;
     g must be a connected graph."""
-    _check_graph(g)
+    check_graph(g)
     return power_iteration_rho(AdjacencyTensor(g), tol, max_iter)
 
 
@@ -57,7 +52,7 @@ def rho_signless_laplacian_matrix(
 ) -> SpectralResult:
     """rho(D + A of g) as the SpectralResult of the k = 2 signless
     Laplacian tensor of g; g must be a connected graph."""
-    _check_graph(g)
+    check_graph(g)
     return power_iteration_rho(SignlessLaplacianTensor(g), tol, max_iter)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Bipartition, Hypergraph
+from .core import Bipartition, Hypergraph, check_graph
 
 __all__ = [
     "ParitySystem",
@@ -93,8 +93,7 @@ def gf2_solve(system: ParitySystem) -> int | None:
 def is_bipartite(g: Hypergraph) -> Bipartition | None:
     """A proper 2-coloring of the graph g as a Bipartition, or None if an
     odd cycle exists: odd_bipartition at k = 2, with its checked certificate."""
-    if g.k != 2:
-        raise ValueError(f"bipartiteness is the k = 2 case, got k = {g.k}")
+    check_graph(g)
     return odd_bipartition(g)
 
 

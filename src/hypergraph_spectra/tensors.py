@@ -56,12 +56,9 @@ __all__ = [
     "AdjacencyTensor",
     "SignlessLaplacianTensor",
     "SpectralResult",
-    "txk",
-    "s_ratios",
     "rho_bounds",
     "weakly_irreducible",
     "power_iteration_rho",
-    "check_subsolution",
     "lift_vector",
     "half_edge_constancy",
 ]
@@ -256,20 +253,6 @@ class SpectralResult:
     converged: bool
     lower: float
     upper: float
-
-
-def txk(t: AdjacencyTensor, x) -> float:
-    """The homogeneous form T x^k = x . (T x^{k-1})."""
-    arr = t._check_vector(x)
-    return float(arr @ t.apply(arr))
-
-
-def s_ratios(t: AdjacencyTensor, x) -> np.ndarray:
-    """Collatz-Wielandt ratios (T x^{k-1})_i / x_i^{k-1} for finite positive x."""
-    arr = t._check_vector(x)
-    if not np.all(np.isfinite(arr) & (arr > 0)):
-        raise ValueError("ratios need a finite, strictly positive vector")
-    return t.apply(arr) / arr ** (t.order - 1)
 
 
 def rho_bounds(t: AdjacencyTensor) -> tuple[float, float]:
@@ -527,29 +510,6 @@ def power_iteration_rho(
         lower=lower - 1.0,
         upper=upper - 1.0,
     )
-
-
-def check_subsolution(t: AdjacencyTensor, y, mu: float) -> str:
-    """Compare T y^{k-1} against mu * y^{[k-1]} coordinatewise.
-
-    Returns "strictly-below" when <= holds everywhere with < somewhere
-    (certifying rho(t) < mu for weakly irreducible t), "strictly-above" for
-    the mirror case (rho(t) > mu), else "inconclusive". Comparisons are
-    exact float comparisons; callers supply mu with their own margin. y must
-    be finite, nonnegative and nonzero, and mu finite.
-    """
-    arr = t._check_vector(y)
-    if not np.all(np.isfinite(arr) & (arr >= 0)) or not np.any(arr > 0):
-        raise ValueError("y must be finite, nonnegative and nonzero")
-    if not math.isfinite(mu):
-        raise ValueError(f"mu must be finite, got {mu!r}")
-    lhs = t.apply(arr)
-    rhs = mu * arr ** (t.order - 1)
-    if np.all(lhs <= rhs) and np.any(lhs < rhs):
-        return "strictly-below"
-    if np.all(lhs >= rhs) and np.any(lhs > rhs):
-        return "strictly-above"
-    return "inconclusive"
 
 
 def lift_vector(x, bmap: BlowupMap) -> np.ndarray:

@@ -9,7 +9,9 @@ in a loop, the power iteration is the plain shifted loop, strong
 connectivity is counted by Tarjan's algorithm on the co-occurrence arc
 lists, connected classes come from a scan of every labelled graph, edge
 arrays are checked as sorted tuples against a seen-set, and files are read
-one line at a time with str.splitlines, str.split and int().
+one line at a time with str.splitlines, str.split and int(). A few small
+builders sit beside them: paths, degrees by an edge scan, a copy without
+one edge, and the representative of a graph's class.
 """
 
 from __future__ import annotations
@@ -19,8 +21,41 @@ import math
 
 import numpy as np
 
-from hypergraph_spectra import Hypergraph, ParitySystem, ParseError, SimpleGraph
+from hypergraph_spectra import (
+    Hypergraph,
+    ParitySystem,
+    ParseError,
+    SimpleGraph,
+    canonical_code,
+    graph_code,
+    graph_from_code,
+)
 from hypergraph_spectra.fileio import MAX_VERTICES
+
+
+def path_graph(n: int) -> SimpleGraph:
+    """The path on n vertices, edges (i, i+1)."""
+    return SimpleGraph(n, tuple((i, i + 1) for i in range(n - 1)))
+
+
+def degrees(h: Hypergraph) -> list[int]:
+    """The number of edges at each vertex, by a scan of every edge."""
+    deg = [0] * h.n
+    for e in h.edges:
+        for v in e:
+            deg[v] += 1
+    return deg
+
+
+def remove_edge(h: Hypergraph, index: int) -> Hypergraph:
+    """A copy of h without the edge at the given position, on the same vertices."""
+    rest = h.edges[:index] + h.edges[index + 1 :]
+    return SimpleGraph(h.n, rest) if isinstance(h, SimpleGraph) else Hypergraph(h.k, h.n, rest)
+
+
+def canonical_form(g: SimpleGraph) -> SimpleGraph:
+    """The representative of g's isomorphism class: the relabelling with the smallest code."""
+    return graph_from_code(g.n, canonical_code(g.n, graph_code(g)))
 
 
 def brute_odd_bipartite(h: Hypergraph) -> bool:

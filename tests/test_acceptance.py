@@ -20,7 +20,6 @@ from hypergraph_spectra import (
     AdjacencyTensor,
     SignlessLaplacianTensor,
     SimpleGraph,
-    canonical_form,
     convergence_report,
     cycle_graph,
     cycle_plus_pendant,
@@ -33,7 +32,6 @@ from hypergraph_spectra import (
     odd_bipartition,
     pendant_cycle_rho_sequence,
     power_iteration_rho,
-    remove_edge,
     rho_adjacency_matrix,
     rho_bounds,
     rho_signless_laplacian_matrix,
@@ -45,7 +43,7 @@ from hypergraph_spectra import (
     verify_theorem_nob,
 )
 
-from helpers import brute_odd_bipartite
+from helpers import brute_odd_bipartite, canonical_form, remove_edge
 
 
 def report(num: int, label: str, tolerance: str, budget: float | None, start: float):

@@ -89,7 +89,11 @@ class TestSpectralCommands:
             ["rho", "--operator", "adjacency", "--in", infile, "--max-iter", "2"]
         )
         assert code == 1
-        assert "converged = no" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "converged = no" in captured.out
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        assert "converge" in captured.err
 
     def test_rho_rejects_disconnected(self, tmp_path, capsys):
         h = Hypergraph(4, 8, ((0, 1, 2, 3), (4, 5, 6, 7)))
@@ -233,6 +237,13 @@ class TestHostileControls:
         assert captured.err.startswith("error: ")
         assert "converge" in captured.err
 
+    def test_failed_check_is_one_error_line_after_the_report(self, capsys):
+        # Doubles resolve the gaps only to about n = 68: two gaps print alike.
+        assert run_cli(["converge", "--n-max", "69"]) == 1
+        captured = capsys.readouterr()
+        assert "[FAIL] gap strictly decreasing in n" in captured.out
+        assert captured.err == "error: check failed: gap strictly decreasing in n\n"
+
     def test_rho_tol_below_double_resolution_rejected_at_once(self, tmp_path, capsys):
         lift, _ = generalized_power(cycle_plus_pendant(12), 4, 2)
         infile = write_hypergraph(tmp_path, lift)
@@ -267,23 +278,35 @@ class TestHostileControls:
         assert len(captured.err.splitlines()) == 1
         assert "limit" in captured.err
 
-    @pytest.mark.parametrize("operator", ["adjacency", "signless-laplacian"])
-    @pytest.mark.parametrize("command, status", [("rho", 2), ("bounds", 0)])
-    def test_edgeless_header_with_huge_k_answers_at_once(
-        self, tmp_path, capsys, operator, command, status
-    ):
+    @pytest.mark.parametrize(
+        "argv, status, out",
+        [
+            (["rho", "--operator", "adjacency"], 2, ""),
+            (["rho", "--operator", "signless-laplacian"], 2, ""),
+            (["bounds", "--operator", "adjacency"], 0, "min_row_sum = 0\nmax_row_sum = 0\n"),
+            (["bounds", "--operator", "signless-laplacian"], 0, "min_row_sum = 0\nmax_row_sum = 0\n"),
+            (["oddbip"], 0, "odd-bipartite\npart-one: \n"),
+        ],
+        ids=[
+            "rho-2-adjacency",
+            "rho-2-signless-laplacian",
+            "bounds-0-adjacency",
+            "bounds-0-signless-laplacian",
+            "oddbip-0",
+        ],
+    )
+    def test_edgeless_header_with_huge_k_answers_at_once(self, tmp_path, capsys, argv, status, out):
         path = tmp_path / "edgeless.txt"
         path.write_text("hypergraph 1000000000000 5 0\n")
         start = time.perf_counter()
-        assert run_cli([command, "--operator", operator, "--in", str(path)]) == status
+        assert run_cli([*argv, "--in", str(path)]) == status
         assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
+        assert captured.out == out
         if status:
-            assert captured.out == ""
             assert len(captured.err.splitlines()) == 1
             assert captured.err.startswith("error: ")
         else:
-            assert captured.out == "min_row_sum = 0\nmax_row_sum = 0\n"
             assert captured.err == ""
 
     @pytest.mark.parametrize(

@@ -4,20 +4,18 @@ from hypergraph_spectra import (
     MAX_VERTICES,
     Hypergraph,
     SimpleGraph,
-    canonical_form,
-    caterpillar,
     cycle_graph,
     cycle_plus_pendant,
-    degree,
     generalized_power,
     internal_path_edges,
     is_connected,
-    path_graph,
     s_cycle,
     s_path,
     subdivide,
     t_graph,
 )
+
+from helpers import canonical_form, degrees, path_graph
 
 
 class TestGeneralizedPower:
@@ -45,13 +43,13 @@ class TestGeneralizedPower:
     def test_block_vertices_inherit_base_degree(self):
         g = cycle_plus_pendant(5)
         h, bmap = generalized_power(g, 6, 2)
-        for v in range(g.n):
-            base_deg = sum(1 for e in g.edges if v in e)
+        deg = degrees(h)
+        for v, base_deg in enumerate(degrees(g)):
             for u in bmap.vertex_blocks[v]:
-                assert degree(h, u) == base_deg
+                assert deg[u] == base_deg
         for block in bmap.edge_blocks:
             for u in block:
-                assert degree(h, u) == 1
+                assert deg[u] == 1
 
     def test_connectivity_matches_base(self):
         h, _ = generalized_power(path_graph(3), 4, 2)
@@ -99,9 +97,7 @@ class TestSPath:
         h, _ = generalized_power(path_graph(4), 6, 2)
         p = s_path(6, 2, 3)
         assert (h.n, h.m) == (p.n, p.m)
-        hdeg = sorted(degree(h, v) for v in range(h.n))
-        pdeg = sorted(degree(p, v) for v in range(p.n))
-        assert hdeg == pdeg
+        assert sorted(degrees(h)) == sorted(degrees(p))
 
     @pytest.mark.parametrize("k, s, d", [(4, 0, 1), (4, 4, 1), (4, 2, 0), (1, 1, 1)])
     def test_rejects_bad_parameters(self, k, s, d):
@@ -121,7 +117,7 @@ class TestSCycle:
 
     def test_every_vertex_degree_k_over_step(self):
         h = s_cycle(6, 3, 4)
-        assert all(degree(h, v) == 2 for v in range(h.n))
+        assert degrees(h) == [2] * h.n
 
     def test_rejects_degenerate_lengths(self):
         with pytest.raises(ValueError):
@@ -133,9 +129,7 @@ class TestSCycle:
 
 
 class TestNamedGraphs:
-    def test_path_and_cycle(self):
-        assert path_graph(1) == SimpleGraph(1, ())
-        assert path_graph(4).edges == ((0, 1), (1, 2), (2, 3))
+    def test_cycle(self):
         assert cycle_graph(4).edges == ((0, 1), (0, 3), (1, 2), (2, 3))
         with pytest.raises(ValueError):
             cycle_graph(2)
@@ -160,18 +154,8 @@ class TestNamedGraphs:
         with pytest.raises(ValueError):
             t_graph(5)
 
-    def test_t_graph_equals_caterpillar(self):
-        assert t_graph(7) == caterpillar([2, 0, 2])
-
-    def test_caterpillar_star(self):
-        g = caterpillar([2])
-        assert canonical_form(g) == canonical_form(path_graph(3))
-
-    def test_caterpillar_rejects_negative(self):
-        with pytest.raises(ValueError):
-            caterpillar([1, -1])
-        with pytest.raises(ValueError):
-            caterpillar([])
+    def test_t_graph_is_a_spine_with_two_leaves_at_each_end(self):
+        assert t_graph(7) == SimpleGraph(7, ((0, 1), (1, 2), (0, 3), (0, 4), (2, 5), (2, 6)))
 
 
 class TestSubdivide:
@@ -189,8 +173,8 @@ class TestSubdivide:
 
     def test_original_edge_removed(self):
         g = subdivide(path_graph(3), 1, 2)
-        assert not g.has_edge(1, 2)
-        assert g.has_edge(1, 3) and g.has_edge(2, 3)
+        assert (1, 2) not in g.edges
+        assert (1, 3) in g.edges and (2, 3) in g.edges
 
     def test_missing_edge_raises(self):
         with pytest.raises(ValueError):
@@ -228,3 +212,13 @@ class TestInternalPathEdges:
     def test_requires_connected(self):
         with pytest.raises(ValueError):
             internal_path_edges(SimpleGraph(4, ((0, 1), (2, 3))))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda h: generalized_power(h, 4, 2), internal_path_edges, lambda h: subdivide(h, 0, 1)],
+    ids=["generalized_power", "internal_path_edges", "subdivide"],
+)
+def test_hypergraphs_other_than_graphs_refused(build):
+    with pytest.raises(ValueError, match="k = 3"):
+        build(Hypergraph(3, 4, ((0, 1, 2), (1, 2, 3))))

@@ -17,14 +17,11 @@ from hypergraph_spectra import (
     SignlessLaplacianTensor,
     SimpleGraph,
     cycle_plus_pendant,
-    degree,
     generalized_power,
     is_connected,
     parse_hypergraph,
     power_iteration_rho,
-    remove_edge,
     rho_bounds,
-    s_cycle,
     serialize_hypergraph,
 )
 from hypergraph_spectra.core import _increasing, canonical_edges
@@ -45,11 +42,6 @@ class TestSimpleGraph:
     def test_edge_and_vertex_counts(self):
         g = SimpleGraph(5, ((0, 1), (1, 2), (2, 3)))
         assert (g.n, g.m) == (5, 3)
-
-    def test_has_edge_both_orientations(self):
-        g = SimpleGraph(3, ((0, 2),))
-        assert g.has_edge(0, 2) and g.has_edge(2, 0)
-        assert not g.has_edge(0, 1)
 
     def test_adjacency_lists(self):
         g = SimpleGraph(4, ((0, 1), (0, 2), (2, 3)))
@@ -262,24 +254,6 @@ class TestCopies:
         assert is_connected(h2) == is_connected(h)
 
 
-class TestDegree:
-    def test_counts_incidences(self):
-        h = Hypergraph(3, 4, ((0, 1, 2), (0, 1, 3)))
-        assert [degree(h, v) for v in range(4)] == [2, 2, 1, 1]
-
-    def test_handshake_identity(self):
-        # sum of degrees is k times the edge count
-        h = s_cycle(6, 3, 4)
-        assert sum(degree(h, v) for v in range(h.n)) == h.k * h.m
-
-    def test_out_of_range_raises(self):
-        h = Hypergraph(3, 3, ((0, 1, 2),))
-        with pytest.raises(IndexError):
-            degree(h, 3)
-        with pytest.raises(IndexError):
-            degree(h, -1)
-
-
 class TestConnectivity:
     def test_single_vertex_connected(self):
         assert is_connected(Hypergraph(3, 1, ()))
@@ -435,30 +409,6 @@ class TestEdgesOnDemand:
         assert Hypergraph(3, 4).edges == () == Hypergraph(3, 4, np.empty((0, 3), dtype=int)).edges
         with pytest.raises(AttributeError, match="no attribute 'missing'"):
             Hypergraph(3, 4, np.empty((0, 3), dtype=int)).missing
-
-
-class TestRemoveEdge:
-    def test_drops_edge_keeps_vertices(self):
-        h = s_cycle(4, 2, 3)
-        h2 = remove_edge(h, 0)
-        assert h2.n == h.n and h2.m == h.m - 1
-        assert h2.edges == h.edges[1:]
-
-    def test_original_untouched(self):
-        g = SimpleGraph(3, ((0, 1), (1, 2)))
-        remove_edge(g, 1)
-        assert g.m == 2
-
-    def test_preserves_type(self):
-        g = SimpleGraph(3, ((0, 1), (1, 2)))
-        assert isinstance(remove_edge(g, 0), SimpleGraph)
-
-    def test_index_out_of_range(self):
-        g = SimpleGraph(3, ((0, 1),))
-        with pytest.raises(IndexError):
-            remove_edge(g, 1)
-        with pytest.raises(IndexError):
-            remove_edge(g, -1)
 
 
 class TestBipartition:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hypergraph_spectra import (
     SimpleGraph,
     canonical_code,
-    canonical_form,
     enumerate_connected_graphs,
     enumerate_connected_nonbipartite,
     graph_code,
@@ -110,23 +109,23 @@ class TestCodes:
         with pytest.raises(ValueError, match="code out of range"):
             canonical_code(3, code)
 
-    def test_canonical_form_invariant_under_relabeling(self):
+    def test_canonical_code_invariant_under_relabeling(self):
         rng = random.Random(4)
         g = SimpleGraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4)))
-        expect = canonical_form(g)
+        expect = canonical_code(6, graph_code(g))
         for _ in range(12):
-            assert canonical_form(shuffled(g, rng)) == expect
+            assert canonical_code(6, graph_code(shuffled(g, rng))) == expect
 
-    def test_canonical_form_idempotent(self):
+    def test_canonical_code_idempotent(self):
         g = SimpleGraph(5, ((0, 3), (1, 3), (2, 4), (3, 4)))
-        c = canonical_form(g)
-        assert canonical_form(c) == c
+        c = canonical_code(5, graph_code(g))
+        assert canonical_code(5, c) == c
 
     def test_distinguishes_nonisomorphic(self):
         # same degree sequence (2,2,2,2,2,2): hexagon vs two triangles
         hexagon = SimpleGraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)))
         triangles = SimpleGraph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
-        assert canonical_form(hexagon) != canonical_form(triangles)
+        assert canonical_code(6, graph_code(hexagon)) != canonical_code(6, graph_code(triangles))
 
 
 class TestEnumerateConnected:
@@ -143,7 +142,7 @@ class TestEnumerateConnected:
     def test_all_connected_and_canonical(self):
         for g in enumerate_connected_graphs(5):
             assert is_connected(g)
-            assert canonical_form(g) == g
+            assert canonical_code(5, graph_code(g)) == graph_code(g)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -221,7 +220,7 @@ class TestEnumerateNonbipartite:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_matches_atlas_filter(self, n):
         expected = {
-            graph_code(canonical_form(g))
+            canonical_code(n, graph_code(g))
             for g in atlas_connected(n)
             if is_bipartite(g) is None
         }

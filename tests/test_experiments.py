@@ -7,11 +7,9 @@ from hypergraph_spectra import (
     ExperimentReport,
     ReportCheck,
     SimpleGraph,
-    canonical_form,
     convergence_report,
     cycle_graph,
     cycle_plus_pendant,
-    degree,
     enumerate_connected_graphs,
     enumerate_connected_nonbipartite,
     experiments,
@@ -21,7 +19,7 @@ from hypergraph_spectra import (
     verify_theorem_nob,
 )
 
-from helpers import eig_rho_adjacency, eig_rho_signless
+from helpers import canonical_form, degrees, eig_rho_adjacency, eig_rho_signless
 from test_matrixspec import C5E_RHO_A, PAW_RHO_A, PAW_RHO_Q
 from test_tensors import deleted_edge_tree
 
@@ -224,8 +222,7 @@ class TestConvergenceReport:
             tree = experiments._deleted_edge_tree(n)
             assert tree == deleted_edge_tree(n)
             assert isinstance(tree, SimpleGraph) and tree.m == 2 * n + 1
-            degrees = sorted((degree(tree, v) for v in range(tree.n)), reverse=True)
-            assert degrees == [3] + [2] * (2 * n - 2) + [1, 1, 1]
+            assert sorted(degrees(tree), reverse=True) == [3] + [2] * (2 * n - 2) + [1, 1, 1]
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from hypergraph_spectra import (
     cycle_graph,
     cycle_plus_pendant,
     limit_point_table,
-    path_graph,
     pendant_cycle_rho_sequence,
     rho_adjacency_matrix,
     rho_signless_laplacian_matrix,
@@ -21,7 +20,7 @@ from hypergraph_spectra import (
 )
 from hypergraph_spectra import matrixspec
 
-from helpers import adjacency_matrix, eig_rho_adjacency, eig_rho_signless
+from helpers import adjacency_matrix, eig_rho_adjacency, eig_rho_signless, path_graph
 
 # From an independent high-precision eigenvalue computation.
 PAW_RHO_A = 2.170086486626033

@@ -16,13 +16,12 @@ from hypergraph_spectra import (
     is_bipartite,
     odd_bipartition,
     parity_system,
-    path_graph,
     s_cycle,
     s_path,
     verify_odd_bipartition,
 )
 
-from helpers import brute_odd_bipartite, eager_gf2_solve
+from helpers import brute_odd_bipartite, eager_gf2_solve, path_graph
 
 
 def satisfies(system: ParitySystem, x: int) -> bool:
