@@ -51,6 +51,11 @@ class TestGeneralizedPower:
             for u in block:
                 assert deg[u] == 1
 
+    def test_base_graph_untouched(self):
+        g = cycle_plus_pendant(5)
+        generalized_power(g, 4, 2)
+        assert g == cycle_plus_pendant(5)
+
     def test_connectivity_matches_base(self):
         h, _ = generalized_power(path_graph(3), 4, 2)
         assert is_connected(h)
@@ -154,6 +159,11 @@ class TestNamedGraphs:
         with pytest.raises(ValueError):
             t_graph(5)
 
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_two_uniform_s_path_is_the_path_graph(self, n):
+        p = s_path(2, 1, n - 1)
+        assert (p.k, p.n, p.edges) == (2, n, tuple((i, i + 1) for i in range(n - 1)))
+
     def test_t_graph_is_a_spine_with_two_leaves_at_each_end(self):
         assert t_graph(7) == SimpleGraph(7, ((0, 1), (1, 2), (0, 3), (0, 4), (2, 5), (2, 6)))
 
@@ -179,6 +189,20 @@ class TestSubdivide:
     def test_missing_edge_raises(self):
         with pytest.raises(ValueError):
             subdivide(path_graph(3), 0, 2)
+
+    def test_out_of_range_vertex_raises(self):
+        with pytest.raises(ValueError):
+            subdivide(path_graph(3), 2, 3)
+        with pytest.raises(ValueError):
+            subdivide(path_graph(3), -1, 0)
+
+    def test_original_untouched(self):
+        g = path_graph(3)
+        subdivide(g, 0, 1)
+        assert g == path_graph(3)
+
+    def test_returns_a_simple_graph(self):
+        assert isinstance(subdivide(cycle_graph(4), 0, 1), SimpleGraph)
 
     def test_refuses_more_vertices_than_a_file_may_declare(self):
         # The result could be written but not read back.

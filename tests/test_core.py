@@ -43,6 +43,9 @@ class TestSimpleGraph:
         g = SimpleGraph(5, ((0, 1), (1, 2), (2, 3)))
         assert (g.n, g.m) == (5, 3)
 
+    def test_an_edge_is_stored_once_in_either_orientation(self):
+        assert SimpleGraph(3, ((2, 0),)).edges == SimpleGraph(3, ((0, 2),)).edges == ((0, 2),)
+
     def test_adjacency_lists(self):
         g = SimpleGraph(4, ((0, 1), (0, 2), (2, 3)))
         assert g.adjacency_lists() == [[1, 2], [0], [0, 3], [2]]

@@ -163,6 +163,20 @@ class TestRowSums:
         assert rho_bounds(AdjacencyTensor(s_path(4, 2, 2))) == (1.0, 2.0)
         assert rho_bounds(SignlessLaplacianTensor(s_cycle(4, 2, 3))) == (4.0, 4.0)
 
+    def test_row_sums_count_incidences(self):
+        h = Hypergraph(3, 4, ((0, 1, 2), (0, 1, 3)))
+        assert AdjacencyTensor(h).row_sums().tolist() == [2.0, 2.0, 1.0, 1.0]
+
+    def test_handshake_identity(self):
+        # the degrees add up to k times the edge count
+        rng = random.Random(8)
+        for h in [s_cycle(6, 3, 4), s_path(5, 2, 3), random_hypergraph(rng, 4, 9, 7)]:
+            assert AdjacencyTensor(h).row_sums().sum() == h.k * h.m
+
+    def test_edgeless_bounds_are_zero(self):
+        assert rho_bounds(AdjacencyTensor(Hypergraph(5, 7))) == (0.0, 0.0)
+        assert rho_bounds(SignlessLaplacianTensor(Hypergraph(5, 7))) == (0.0, 0.0)
+
 
 class TestApplyMatchesAddAtReference:
     RANKS = (2, 3, 4, 5, 6, 8, 12, 20)
@@ -415,6 +429,51 @@ class TestPowerIteration:
     def test_tol_floor_itself_allowed(self):
         res = power_iteration_rho(AdjacencyTensor(s_cycle(4, 2, 3)), tol=1e-14)
         assert res.converged
+
+
+@pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
+class TestCollatzWielandt:
+    """For a connected hypergraph and any positive x, the ratios
+    (T x^{k-1})_i / x_i^{k-1} enclose rho(T)."""
+
+    def test_ratios_at_ones_are_the_row_sums(self, cls):
+        rng = random.Random(9)
+        for h in [s_path(4, 2, 2), random_hypergraph(rng, 5, 10, 8)]:
+            t = cls(h)
+            np.testing.assert_array_equal(ratios(t, np.ones(h.n)), t.row_sums())
+
+    def test_unequal_row_sums_enclose_the_radius_strictly(self, cls):
+        t = cls(s_path(4, 2, 2))
+        lo, hi = rho_bounds(t)
+        res = power_iteration_rho(t, tol=1e-12)
+        assert lo < res.lower <= res.upper < hi
+
+    def test_equal_row_sums_are_the_radius(self, cls):
+        t = cls(s_cycle(4, 2, 3))
+        lo, hi = rho_bounds(t)
+        assert lo == hi == power_iteration_rho(t).rho
+
+    def test_ratios_of_any_positive_vector_enclose_the_radius(self, cls):
+        rng = random.Random(10)
+        nrng = np.random.default_rng(10)
+        for k in (2, 3, 4, 6):
+            h = s_path(k, 1, 3) if k > 2 else cycle_plus_pendant(5)
+            rho = power_iteration_rho(cls(h), tol=1e-12).rho
+            for _ in range(20):
+                x = nrng.uniform(0.05, 1.0, h.n) ** rng.choice([1, 3])
+                s = ratios(cls(h), x)
+                assert s.min() <= rho * (1 + 1e-11)
+                assert s.max() >= rho * (1 - 1e-11)
+
+    def test_final_bracket_is_the_ratio_range_of_the_eigenvector(self, cls):
+        h, _ = generalized_power(cycle_plus_pendant(6), 4, 2)
+        t = cls(h)
+        res = power_iteration_rho(t, tol=1e-6)
+        x = res.eigenvector
+        assert np.all(x > 0) and x.max() == 1.0
+        s = ratios(t, x)
+        assert math.isclose(res.lower, s.min(), rel_tol=1e-13)
+        assert math.isclose(res.upper, s.max(), rel_tol=1e-13)
 
 
 class TestEntrywiseMonotonicity:
