@@ -3,7 +3,9 @@
 The central operation turns a simple graph G into a k-uniform hypergraph by
 replacing every vertex with an s-set and every edge uv with the k-set made
 of the two endpoint sets plus k-2s fresh vertices. With s = k/2 no fresh
-vertices are needed and the edges are unions of two "half edges".
+vertices are needed and the edges are unions of two "half edges". The
+blown-up edges are built already ascending and in order, so the blow-up
+sorts none; a base of many edges is blown up as one integer array.
 
 The blow-ups, the loose paths and cycles, and subdivide refuse, before
 building anything, a result with more vertices than a file may declare
@@ -14,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Hypergraph, SimpleGraph, check_graph, is_connected
+import numpy as np
+
+from .core import _BULK_EDGES, Hypergraph, SimpleGraph, check_graph, is_connected
 from .fileio import MAX_VERTICES
 
 __all__ = [
@@ -73,17 +77,21 @@ def generalized_power(g: SimpleGraph, k: int, s: int) -> tuple[Hypergraph, Blowu
     if s < 1 or 2 * s > k:
         raise ValueError(f"s={s} out of range: need 1 <= s <= k/2 for k={k}")
     _check_size(s * g.n + (k - 2 * s) * g.m)
-    vertex_blocks = tuple(tuple(range(v * s, (v + 1) * s)) for v in range(g.n))
     base = g.n * s
     extra = k - 2 * s
-    edge_blocks = tuple(
-        tuple(range(base + i * extra, base + (i + 1) * extra)) for i in range(g.m)
-    )
-    hyperedges = tuple(
-        tuple(sorted(vertex_blocks[u] + vertex_blocks[v] + edge_blocks[i]))
-        for i, (u, v) in enumerate(g.edges)
-    )
-    h = Hypergraph(k, base + g.m * extra, hyperedges)
+    top = base + g.m * extra
+    # Slot j of the blocks is a strided range; with no fresh slots, m empty blocks.
+    vertex_blocks = tuple(zip(*[range(j, base, s) for j in range(s)]))
+    edge_blocks = tuple(zip(*[range(j, top, extra) for j in range(base, base + extra)])) or ((),) * g.m
+    # u < v and fresh vertices come last: each k-set ascends, in the base graph's order.
+    if g.m >= _BULK_EDGES:
+        halves = np.arange(base).reshape(g.n, s)[g.edge_array].reshape(g.m, 2 * s)
+        hyperedges = np.hstack([halves, np.arange(base, top).reshape(g.m, extra)])
+    else:
+        hyperedges = tuple(
+            vertex_blocks[u] + vertex_blocks[v] + edge_blocks[i] for i, (u, v) in enumerate(g.edges)
+        )
+    h = Hypergraph(k, top, hyperedges)
     return h, BlowupMap(k, s, vertex_blocks, edge_blocks)
 
 

@@ -22,6 +22,12 @@ __all__ = [
 ]
 
 
+# Tuple input with at least this many edges is checked as one integer array.
+# SimpleGraph from shuffled tuples on a 2-vCPU x86_64 host, loop against
+# array: 17 against 52 us at 8 edges, 57 against 60 at 32, 118 against 73 at 64.
+_BULK_EDGES = 64
+
+
 def _increasing(cols: np.ndarray) -> bool:
     """Whether the rows held as (k, m) slot columns are in strictly
     increasing lexicographic order: each pair's first nonzero step is
@@ -76,9 +82,10 @@ class Hypergraph:
     edges may also be an (m, k) integer array, which numpy checks and puts
     in canonical form; `edges` is then the same tuple of tuples as for the
     rows given as tuples, built on first access, so a numeric path that
-    reads only edge_array never builds it. edge_array holds the canonical
-    edges as a read-only (m, k) intp array, the transpose of C-contiguous
-    (k, m) slot columns.
+    reads only edge_array never builds it. So is a tuple or list of at
+    least _BULK_EDGES integer rows; a per-edge loop checks other input.
+    edge_array holds the canonical edges as a read-only (m, k) intp array,
+    the transpose of C-contiguous (k, m) slot columns.
     """
 
     k: int
@@ -105,10 +112,20 @@ class Hypergraph:
             canon, row = canonical_edges(rows, self.n)
             if canon is None:
                 raise ValueError(self._refusal(tuple(rows[row].tolist())))
-            canon.flags.writeable = False
-            self.__dict__["edge_array"] = canon  # where cached_property keeps it
-            del self.__dict__["edges"]  # until __getattr__ builds it
+            self._keep(canon)
             return
+        if isinstance(self.edges, (tuple, list)) and len(self.edges) >= _BULK_EDGES:
+            # Ragged rows, ints past int64 (numpy floats or objects), uint64
+            # and any refusal go on to the loop, which names the edge.
+            try:
+                rows = np.array(self.edges)
+            except ValueError:
+                rows = np.empty(0)
+            if rows.shape[1:] == (self.k,) and rows.dtype.kind in "iu" and np.can_cast(rows.dtype, np.intp):
+                canon, _ = canonical_edges(rows, self.n)
+                if canon is not None:
+                    self._keep(canon)
+                    return
         seen: set[tuple[int, ...]] = set()
         canon = []
         for e in self.edges:
@@ -124,6 +141,12 @@ class Hypergraph:
             seen.add(se)
             canon.append(se)
         object.__setattr__(self, "edges", tuple(sorted(canon)))
+
+    def _keep(self, canon: np.ndarray) -> None:
+        """Store checked canonical rows; edges is built from them when read."""
+        canon.flags.writeable = False
+        self.__dict__["edge_array"] = canon  # where cached_property keeps it
+        del self.__dict__["edges"]  # until __getattr__ builds it
 
     def _refusal(self, e: tuple) -> str:
         """Why e is refused, given that it is: not a k-set of distinct

@@ -19,7 +19,8 @@ declare at most MAX_VERTICES vertices, so a hostile header is refused
 before anything is sized by it. A malformed file raises ParseError naming
 the first line that breaks a rule, by its number among all lines.
 Serialization is canonical: every edge ascending, edges in lexicographic
-order, ``\\n`` line endings.
+order, ``\\n`` line endings. It is written in bulk, by numpy from the edge
+array in one pass.
 
 Files in the layout serialization writes (the header on line 1, then edge
 lines of ASCII digits, spaces and tabs ending in ``\\n`` or ``\\r\\n``) are
@@ -166,10 +167,26 @@ def parse_graph(text: str) -> SimpleGraph:
     return _parse(text, "graph", lambda k, n, rows: SimpleGraph(n, rows))
 
 
+def _edge_lines(edges: np.ndarray) -> str:
+    """The text of the (m, k) rows, one per line: every number is written
+    in right-aligned digit slots plus a separator slot, and the slots of
+    leading zeros are dropped."""
+    rest = edges.ravel()  # row by row
+    width = len(str(rest.max(initial=0)))
+    chars = np.full((len(rest), width + 1), ord(" "), dtype=np.uint8)
+    chars[edges.shape[1] - 1 :: edges.shape[1], width] = ord("\n")
+    keep = np.ones(chars.shape, dtype=bool)
+    for slot in range(width - 1, 0, -1):
+        high = rest // 10  # numpy divides by a scalar several times faster than by an array
+        chars[:, slot] = rest - 10 * high + ord("0")
+        rest = high
+        keep[:, slot - 1] = rest > 0
+    chars[:, 0] = rest + ord("0")
+    return chars[keep].tobytes().decode("ascii")
+
+
 def serialize_graph(g: SimpleGraph) -> str:
-    lines = [f"graph {g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    return f"graph {g.n} {g.m}\n" + _edge_lines(g.edge_array)
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
@@ -178,6 +195,4 @@ def parse_hypergraph(text: str) -> Hypergraph:
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:
-    lines = [f"hypergraph {h.k} {h.n} {h.m}"]
-    lines.extend(" ".join(str(v) for v in e) for e in h.edges)
-    return "\n".join(lines) + "\n"
+    return f"hypergraph {h.k} {h.n} {h.m}\n" + _edge_lines(h.edge_array)

@@ -12,6 +12,7 @@ k = 2 case of the same solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .core import Bipartition, Hypergraph, check_graph
 
@@ -39,15 +40,15 @@ class ParitySystem:
             raise ValueError("variable count must be nonnegative")
         if len(self.rows) != len(self.rhs):
             raise ValueError("rows and rhs differ in length")
-        if any(r < 0 or r.bit_length() > self.n_vars for r in self.rows):
+        if self.rows and (min(self.rows) < 0 or max(self.rows).bit_length() > self.n_vars):
             raise ValueError("row mask out of range")
-        if any(b not in (0, 1) for b in self.rhs):
+        if not set(self.rhs) <= {0, 1}:
             raise ValueError("rhs entries must be 0 or 1")
 
 
 def parity_system(h: Hypergraph) -> ParitySystem:
     """One row per edge, marking its vertices; all parities required odd."""
-    rows = tuple(sum(1 << v for v in e) for e in h.edges)
+    rows = tuple(map(sum, map(map, repeat((1).__lshift__), h.edges)))
     return ParitySystem(h.n, rows, (1,) * h.m)
 
 

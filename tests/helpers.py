@@ -8,8 +8,9 @@ adjacency action scatters with np.add.at, Jacobians are summed edge by edge
 in a loop, the power iteration is the plain shifted loop, strong
 connectivity is counted by Tarjan's algorithm on the co-occurrence arc
 lists, connected classes come from a scan of every labelled graph, edge
-arrays are checked as sorted tuples against a seen-set, and files are read
-one line at a time with str.splitlines, str.split and int(). A few small
+arrays are checked as sorted tuples against a seen-set, files are read
+one line at a time with str.splitlines, str.split and int() and written by
+str.join, and blow-ups sort the union of their blocks per edge. A few small
 builders sit beside them: paths, degrees by an edge scan, a copy without
 one edge, and the representative of a graph's class.
 """
@@ -343,3 +344,22 @@ def line_reader(text: str, magic: str) -> SimpleGraph | Hypergraph:
     if magic == "graph":
         return SimpleGraph(n, tuple(edges))  # type: ignore[arg-type]
     return Hypergraph(arity, n, tuple(edges))
+
+
+def serialize_reference(h: Hypergraph) -> str:
+    """A graph or hypergraph file written one edge line at a time with str.join."""
+    header = f"graph {h.n} {h.m}" if isinstance(h, SimpleGraph) else f"hypergraph {h.k} {h.n} {h.m}"
+    return "\n".join([header] + [" ".join(str(v) for v in e) for e in h.edges]) + "\n"
+
+
+def blowup_edges_reference(g: SimpleGraph, k: int, s: int) -> list[tuple[int, ...]]:
+    """The edges of generalized_power(g, k, s), each the sorted union of the
+    s-sets of its ends, numbered v*s.., and its own k - 2s fresh vertices,
+    numbered after all vertex blocks in the base graph's edge order."""
+    extra = k - 2 * s
+    fresh = g.n * s
+    out = []
+    for i, (u, v) in enumerate(g.edges):
+        block = [u * s + j for j in range(s)] + [v * s + j for j in range(s)]
+        out.append(tuple(sorted(block + [fresh + i * extra + j for j in range(extra)])))
+    return out

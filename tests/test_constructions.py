@@ -1,3 +1,6 @@
+import random
+from unittest import mock
+
 import pytest
 
 from hypergraph_spectra import (
@@ -15,7 +18,9 @@ from hypergraph_spectra import (
     t_graph,
 )
 
-from helpers import canonical_form, degrees, path_graph
+from hypergraph_spectra import constructions
+
+from helpers import blowup_edges_reference, canonical_form, degrees, path_graph
 
 
 class TestGeneralizedPower:
@@ -70,6 +75,29 @@ class TestGeneralizedPower:
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
             generalized_power(cycle_graph(3), 2, 1)
+
+    @pytest.mark.parametrize("m", [0, 10, 63, 64, 65])
+    @pytest.mark.parametrize("k, s", [(k, s) for k in range(3, 9) for s in range(1, k // 2 + 1)])
+    def test_tuple_and_array_builds_agree(self, k, s, m):
+        # A random base on 30 vertices, some of them isolated, built on
+        # each side of the bulk line and on the side the line picks.
+        rng = random.Random(f"{k} {s} {m}")
+        pairs = [(u, v) for u in range(30) for v in range(u + 1, 30)]
+        g = SimpleGraph(30, tuple(rng.sample(pairs, m)))
+        builds = []
+        for line in (10**9, 0, constructions._BULK_EDGES):
+            with mock.patch.object(constructions, "_BULK_EDGES", line):
+                h, bmap = generalized_power(g, k, s)
+            builds.append((h.edges, h.edge_array.tolist(), h.n, bmap))
+        assert builds[0] == builds[1] == builds[2]
+        edges, _, n, bmap = builds[0]
+        assert list(edges) == blowup_edges_reference(g, k, s)
+        assert n == bmap.total_vertices == 30 * s + (k - 2 * s) * m
+        assert bmap.vertex_blocks == tuple(tuple(range(v * s, v * s + s)) for v in range(30))
+        extra = k - 2 * s
+        assert bmap.edge_blocks == tuple(
+            tuple(range(30 * s + i * extra, 30 * s + (i + 1) * extra)) for i in range(m)
+        )
 
 
 class TestSPath:

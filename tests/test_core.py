@@ -3,6 +3,7 @@ import dataclasses
 import pickle
 import random
 import re
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -24,6 +25,7 @@ from hypergraph_spectra import (
     rho_bounds,
     serialize_hypergraph,
 )
+from hypergraph_spectra import core
 from hypergraph_spectra.core import _increasing, canonical_edges
 
 from helpers import canonical_edges_reference
@@ -422,3 +424,73 @@ class TestBipartition:
     def test_rejects_overlap(self):
         with pytest.raises(ValueError):
             Bipartition(frozenset({0, 1}), frozenset({1, 2}))
+
+
+@st.composite
+def tuple_edge_lists(draw):
+    """(k, n, edges): a tuple or list of about 64 edges as Python tuples or
+    lists, valid as drawn, and then maybe given one fault or an entry of
+    another type: a float, a bool, a numpy integer, an int past int64, a row
+    of the wrong length, the set of another row (before or after it), a
+    repeated vertex, or a vertex out of range."""
+    k = draw(st.integers(2, 5))
+    m = draw(st.sampled_from([63, 64, 65]) | st.integers(1, 130))
+    n = draw(st.integers(25, 60) | st.just(2**62))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sets: dict[frozenset[int], None] = {}
+    while len(sets) < m:
+        sets.setdefault(frozenset(rng.sample(range(min(n, 100)), k)))
+    rows = [rng.sample(sorted(e), k) for e in sets]
+    i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, k - 1))
+    fault = draw(
+        st.sampled_from(
+            ["none", "float", "bool", "numpy", "int64+", "ragged", "duplicate", "repeat", "range"]
+        )
+    )
+    if fault == "float":
+        rows[i][j] = float(rows[i][j])
+    elif fault == "bool":
+        rows[i][j] = draw(st.booleans())
+    elif fault == "numpy":
+        rows[i][j] = draw(st.sampled_from([np.int64, np.int32, np.uint8, np.uint64]))(rows[i][j] % 256)
+    elif fault == "int64+":
+        rows[i][j] = draw(st.integers(2**63, 2**70))
+    elif fault == "ragged":
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + [max(rows[i]) + 1]
+    elif fault == "duplicate":
+        rows.insert(draw(st.integers(0, m)), draw(st.permutations(rows[i])))
+    elif fault == "repeat":
+        rows[i][j] = rows[i][(j + 1) % k]
+    elif fault == "range":
+        rows[i][j] = draw(st.integers(-5, -1) | st.integers(n, n + 5))
+    rows = [tuple(r) if draw(st.booleans()) else r for r in rows]
+    return k, n, tuple(rows) if draw(st.booleans()) else rows
+
+
+def built(k: int, n: int, edges, bulk_edges: int):
+    """What Hypergraph(k, n, edges) gives with the bulk line at bulk_edges:
+    its edges, edge array and the types in it, or the refusal's text."""
+    with mock.patch.object(core, "_BULK_EDGES", bulk_edges):
+        try:
+            h = Hypergraph(k, n, edges)
+        except ValueError as err:
+            return str(err)
+    arr = h.edge_array
+    return h.edges, {type(v) for e in h.edges for v in e}, arr.tolist(), arr.dtype, arr.flags.f_contiguous
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tuple_edge_lists())
+def test_both_sides_of_the_bulk_line_agree(case):
+    # The loop alone (a line no list reaches), the array check wherever it
+    # applies (a line of 1 edge), and the line as shipped give one outcome.
+    k, n, edges = case
+    loop = built(k, n, edges, 10**9)
+    assert built(k, n, edges, 1) == loop
+    assert built(k, n, edges, core._BULK_EDGES) == loop
+
+
+def test_large_tuple_input_is_checked_in_bulk():
+    edges = tuple((i, i + 1) for i in range(core._BULK_EDGES))
+    assert "edge_array" in SimpleGraph(core._BULK_EDGES + 1, edges).__dict__
+    assert "edge_array" not in SimpleGraph(core._BULK_EDGES + 1, edges[1:]).__dict__

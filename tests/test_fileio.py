@@ -18,7 +18,7 @@ from hypergraph_spectra import (
 from hypergraph_spectra import fileio
 from hypergraph_spectra.fileio import MAX_VERTICES
 
-from helpers import line_reader
+from helpers import line_reader, serialize_reference
 
 
 class TestGraphRoundTrip:
@@ -192,6 +192,41 @@ def test_graph_round_trip(spec, data):
     text = serialize_graph(g)
     assert parse_graph(text) == g
     assert parse_graph(reshuffled(text, data)) == g
+
+
+# ------------------------------------------------------ writer vs join oracle
+
+
+@st.composite
+def written_objects(draw) -> Hypergraph:
+    """A graph or hypergraph of 0 to 130 edges whose labels run from one
+    digit up to MAX_VERTICES - 1, the largest a file may hold."""
+    k = draw(st.integers(2, 6))
+    n = draw(st.sampled_from([k, 10, 11, 100, 1001, MAX_VERTICES]) | st.integers(k, MAX_VERTICES))
+    label = st.sampled_from([0, n - 1, n // 10, n // 10 - 1]).filter(lambda v: v >= 0) | st.integers(0, n - 1)
+    edge = st.lists(label, min_size=k, max_size=k, unique=True).map(lambda e: tuple(sorted(e)))
+    edges = tuple(draw(st.sets(edge, max_size=130 if n > 20 else 0)))
+    graph = k == 2 and draw(st.booleans())
+    return SimpleGraph(n, edges) if graph else Hypergraph(k, n, edges)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(written_objects())
+def test_writer_matches_the_join_oracle(h):
+    write = serialize_graph if isinstance(h, SimpleGraph) else serialize_hypergraph
+    assert write(h) == serialize_reference(h)
+
+
+@pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 500])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_writer_matches_the_join_oracle_at_the_largest_labels(k, m):
+    rows = np.arange(MAX_VERTICES - k * m, MAX_VERTICES).reshape(m, k)
+    h = Hypergraph(k, MAX_VERTICES, rows)
+    assert serialize_hypergraph(h) == serialize_reference(h)
+    if k == 2:
+        g = SimpleGraph(MAX_VERTICES, rows)
+        assert serialize_graph(g) == serialize_reference(g)
+        assert parse_graph(serialize_graph(g)) == g
 
 
 # ------------------------------------------------- array reader vs line reader

@@ -168,6 +168,36 @@ class TestParitySystem:
         for row, e in zip(sys_.rows, h.edges):
             assert row == sum(1 << v for v in e)
 
+    @pytest.mark.parametrize(
+        "h",
+        [
+            Hypergraph(4, 4),
+            cycle_graph(7),
+            s_cycle(5, 2, 4),
+            generalized_power(cycle_plus_pendant(70), 6, 2)[0],
+            Hypergraph(2, 200, ((0, 199), (63, 64), (5, 130))),
+        ],
+        ids=["edgeless", "graph", "odd-k", "lift-of-70-edges", "wide-masks"],
+    )
+    def test_rows_are_the_edges_vertex_bits(self, h):
+        sys_ = parity_system(h)
+        assert sys_ == ParitySystem(h.n, tuple(sum(1 << v for v in e) for e in h.edges), (1,) * h.m)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((-1, (), ()), "variable count must be nonnegative"),
+            ((3, (1, 2), (1,)), "rows and rhs differ in length"),
+            ((3, (1, -2, 4), (1, 1, 1)), "row mask out of range"),
+            ((3, (1, 0b1000, 2), (1, 1, 1)), "row mask out of range"),
+            ((3, (1, 2), (1, 2)), "rhs entries must be 0 or 1"),
+            ((3, (1, 2), (0, -1)), "rhs entries must be 0 or 1"),
+        ],
+    )
+    def test_refusals_name_their_fault(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ParitySystem(*args)
+
 
 class TestIsBipartite:
     @pytest.mark.parametrize("n", [2, 3, 6])
