@@ -77,7 +77,8 @@ def canonical_edges(edges: np.ndarray, n: int) -> tuple[np.ndarray | None, int |
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """k-uniform hypergraph on vertices 0..n-1; every edge is a k-set.
+    """k-uniform hypergraph on vertices 0..n-1, where n is at most the
+    largest intp; every edge is a k-set.
 
     edges may also be an (m, k) integer array, which numpy checks and puts
     in canonical form; `edges` is then the same tuple of tuples as for the
@@ -103,29 +104,28 @@ class Hypergraph:
             raise ValueError("edge size k must be at least 2")
         if self.n < 1:
             raise ValueError("hypergraph needs at least one vertex")
-        if isinstance(self.edges, np.ndarray):
-            rows = self.edges
-            if rows.ndim != 2 or rows.shape[1] != self.k or rows.dtype.kind not in "iu":
-                raise ValueError(
-                    f"edge array must be (m, {self.k}) integers, got {rows.shape} {rows.dtype}"
-                )
-            canon, row = canonical_edges(rows, self.n)
-            if canon is None:
-                raise ValueError(self._refusal(tuple(rows[row].tolist())))
-            self._keep(canon)
-            return
-        if isinstance(self.edges, (tuple, list)) and len(self.edges) >= _BULK_EDGES:
-            # Ragged rows, ints past int64 (numpy floats or objects), uint64
-            # and any refusal go on to the loop, which names the edge.
+        if self.n > np.iinfo(np.intp).max:  # edge_array could not hold the vertices
+            raise ValueError(f"n must be at most {np.iinfo(np.intp).max}, got {self.n}")
+        rows = self.edges
+        if isinstance(rows, (tuple, list)) and len(rows) >= _BULK_EDGES:
             try:
-                rows = np.array(self.edges)
+                rows = np.array(rows)
             except ValueError:
-                rows = np.empty(0)
-            if rows.shape[1:] == (self.k,) and rows.dtype.kind in "iu" and np.can_cast(rows.dtype, np.intp):
-                canon, _ = canonical_edges(rows, self.n)
-                if canon is not None:
-                    self._keep(canon)
-                    return
+                pass  # ragged rows
+        if isinstance(rows, np.ndarray) and rows.shape[1:] == (self.k,) and rows.dtype.kind in "iu":
+            canon, row = canonical_edges(rows, self.n)
+            if canon is not None:
+                self._keep(canon)
+                return
+            if rows is self.edges:
+                raise ValueError(self._refusal(tuple(rows[row].tolist())))
+        elif isinstance(self.edges, np.ndarray):
+            raise ValueError(
+                f"edge array must be (m, {self.k}) integers, got {rows.shape} {rows.dtype}"
+            )
+        # Tuple input the array refuses (ragged rows, ints past int64 as
+        # numpy floats or objects, any refused edge) goes on to the loop,
+        # which names the edge.
         seen: set[tuple[int, ...]] = set()
         canon = []
         for e in self.edges:

@@ -141,6 +141,19 @@ class TestSizeTypes:
         assert all(type(v) is int for v in (h.k, h.n, g.k, g.n))
         assert h == Hypergraph(4, 5, ((0, 1, 2, 3),))
 
+    @pytest.mark.parametrize(
+        "edges",
+        [((0, 1),), tuple((i, i + 1) for i in range(core._BULK_EDGES)), np.array([[0, 1]])],
+        ids=["tuple", "bulk-tuple", "ndarray"],
+    )
+    def test_n_at_most_the_largest_array_index(self, edges):
+        most = int(np.iinfo(np.intp).max)
+        g = Hypergraph(2, most, edges)
+        assert g.n == most and g.edge_array.tolist() == [list(e) for e in g.edges]
+        for n in (most + 1, 2**70):
+            with pytest.raises(ValueError, match=f"^n must be at most {most}, got {n}$"):
+                Hypergraph(2, n, edges)
+
 
 class TestHypergraph:
     def test_edges_sorted_inside_and_across(self):

@@ -1,4 +1,6 @@
 import re
+import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -336,10 +338,13 @@ def test_array_reader_matches_line_reader(magic, data):
 
 
 def is_plain(text: str) -> bool:
-    """Whether the lines after the first hold only ASCII digits, spaces and
-    \\n line ends, with no number longer than 18 digits."""
-    body = text.partition("\n")[2]
-    return bool(re.fullmatch("[0-9 \n]*", body)) and max(map(len, body.split()), default=0) <= 18
+    """Whether the text up to its first \\n is one line, and the lines after
+    it hold only ASCII digits, spaces, tabs and \\n or \\r\\n line ends, with
+    no run of 20 zeros."""
+    head, _, body = text.partition("\n")
+    body = body.replace("\r\n", "\n")
+    one_line = len(f"{head}\n".splitlines()) == 1
+    return one_line and bool(re.fullmatch("[0-9 \t\n]*", body)) and "0" * 20 not in body
 
 
 @pytest.mark.parametrize("magic", sorted(READERS))
@@ -347,6 +352,10 @@ def is_plain(text: str) -> bool:
 @given(data=st.data())
 def test_plain_files_are_read_in_bulk(magic, data):
     text = data.draw(edited_files(magic, plain=True))
+    if data.draw(st.booleans()):
+        text = text.replace(" ", data.draw(st.sampled_from(["\t", " \t"])))
+    if data.draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
     returned = []
 
     def spy(*args):
@@ -395,7 +404,7 @@ def test_array_reader_matches_line_reader_on_any_text(magic, header, body, end):
         "hypergraph 3 4 2\u20280 1 2\x851 2 3",
         "hypergraph 3 4 1\n0 1 \xe9\n",
         "hypergraph 3 4 1\n0 1 " + "0" * 5000 + "2\n",  # past int()'s digit limit
-        "hypergraph 3 4 1\n0 1 000000000000000002\n",  # the most digits read in bulk
+        "hypergraph 3 4 1\n0 1 000000000000000002\n",
         "hypergraph 3 4 1\n0 1 0000000000000000002\n",
         "hypergraph 3 6 2\n0 1\n2 3 4 5\n",  # m·k numbers, but not k on every line
         "hypergraph 2 4 2\n0 1 2 3\n\n",
@@ -418,7 +427,44 @@ def test_array_reader_matches_line_reader_on_any_text(magic, header, body, end):
         "\r\nhypergraph 3 4 1\n0 1 2\n",
         "\r",
         "",
+        "hypergraph 3 4 1\n0 1 9223372036854775808\n",  # past int64
+        "hypergraph 3 4 1\n0 1 9223372036854775807\n",
+        "hypergraph 3 4 1\n0 1 00000000000000000002\n",  # 19 zeros: read in bulk
+        "hypergraph 3 4 1\n0 1 000000000000000000002\n",  # 20 zeros: read line by line
+        "hypergraph 3 4 1\n0 1\v2\n",
+        "hypergraph 3 4 2\n0 1 2\f1 2 3\n",
+        "hypergraph 3 4 1\n0\v1 2\n",
+        "hypergraph 3 4 2\n0 1 2\r1 2 3\n",
+        "hypergraph 3 4 2\n0\t1\t2\n1\t\t2\t3\n",
+        "hypergraph 3 4 0\n \t\n\n",
+        "hypergraph 3 4 1\n \t\n\n",
+        "hypergraph 3 4 2\n0 1 2\n1 2 3",
+        "hypergraph 3 5 2\n0 1 2 3\n1 2\n",
     ],
 )
 def test_array_reader_matches_line_reader_on_odd_text(text):
     assert_readers_agree("hypergraph", text)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="int() has no digit limit")
+def test_readers_agree_under_the_lowest_int_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert_readers_agree("hypergraph", "hypergraph 3 4 1\n0 1 " + "0" * 699 + "2\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_graph, "graph 3 0\n"),
+        (parse_hypergraph, "hypergraph 3 4 0\n  \n\t\n"),
+        (parse_hypergraph, "hypergraph 3 4 1\n\n \n"),
+    ],
+)
+def test_bulk_reader_emits_no_warnings(parse, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcome(parse, text)
