@@ -18,9 +18,8 @@ thr = tau_threshold()
 print(f"target constant sqrt(2 + sqrt(5)) = {thr:.15f}")
 print()
 
-table = limit_point_table(40)
 print("from below: n, beta_n, alpha_n, threshold - alpha_n")
-for n, beta, alpha in table.rows:
+for n, beta, alpha in limit_point_table(40):
     if n in (1, 2, 3, 5, 10, 20, 40):
         print(f"  {n:3d}  {beta:.15f}  {alpha:.15f}  {thr - alpha:.3e}")
 print()

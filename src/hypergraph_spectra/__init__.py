@@ -36,6 +36,8 @@ from .experiments import (
     ExperimentReport,
     ReportCheck,
     convergence_report,
+    limit_point_report,
+    min_rho_report,
     min_rho_search,
     verify_theorem_nob,
 )
@@ -48,7 +50,6 @@ from .fileio import (
     serialize_hypergraph,
 )
 from .matrixspec import (
-    LimitPointTable,
     alpha_n,
     beta_n,
     limit_point_table,

@@ -28,11 +28,10 @@ from pathlib import Path
 
 from .constructions import generalized_power, s_cycle, s_path, subdivide
 from .experiments import (
-    MATRIX_RHO,
     ExperimentReport,
-    ReportCheck,
     convergence_report,
-    min_rho_search,
+    limit_point_report,
+    min_rho_report,
     verify_theorem_nob,
 )
 from .fileio import (
@@ -42,7 +41,7 @@ from .fileio import (
     serialize_graph,
     serialize_hypergraph,
 )
-from .matrixspec import limit_point_table, tau_threshold
+from .matrixspec import _converged_rho
 from .oddbip import odd_bipartition
 from .tensors import (
     AdjacencyTensor,
@@ -53,7 +52,7 @@ from .tensors import (
 
 __all__ = ["run_cli", "main"]
 
-_TENSORS = {"adjacency": AdjacencyTensor, "signless-laplacian": SignlessLaplacianTensor}
+_TENSORS = {t.kind: t for t in (AdjacencyTensor, SignlessLaplacianTensor)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minrho", parents=[out, solver, report], help="extremal non-bipartite graphs")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--operator", choices=sorted(MATRIX_RHO), default="adjacency")
+    p.add_argument("--operator", choices=sorted(_TENSORS), default="adjacency")
 
     p = sub.add_parser("limitpoints", parents=[out, report], help="beta_n / alpha_n table")
     p.add_argument("--n-max", type=int, required=True)
@@ -173,8 +172,7 @@ def _cmd_rho(args) -> int:
         f"converged = {'yes' if result.converged else 'no'}",
     ]
     _emit("\n".join(lines) + "\n", args.outfile)
-    if not result.converged:
-        raise RuntimeError(f"power iteration did not converge in {result.iterations} steps")
+    _converged_rho(result)  # raises, after the lines above, if the solve ran out
     return 0
 
 
@@ -192,44 +190,11 @@ def _cmd_subdivide(args) -> int:
 
 
 def _cmd_minrho(args) -> int:
-    rho, graphs = min_rho_search(args.n, args.operator, args.tol, args.max_iter)
-    report = ExperimentReport(
-        name="minimum spectral radius over connected non-bipartite graphs",
-        params={"n": args.n, "operator": args.operator},
-        columns=("n", "operator", "rho_min", "argmin_edges"),
-        rows=[
-            (args.n, args.operator, rho, " ".join(f"{u}-{v}" for u, v in g.edges))
-            for g in graphs
-        ],
-        checks=[
-            ReportCheck("unique minimizer", len(graphs) == 1, f"ties within {10 * args.tol:g}")
-        ],
-    )
-    return _emit_report(report, args)
+    return _emit_report(min_rho_report(args.n, args.operator, args.tol, args.max_iter), args)
 
 
 def _cmd_limitpoints(args) -> int:
-    table = limit_point_table(args.n_max)
-    alphas = [row[2] for row in table.rows]
-    report = ExperimentReport(
-        name="limit point sequence alpha_n",
-        params={"n_max": args.n_max, "threshold": f"{table.threshold:.12g}"},
-        columns=("n", "beta_n", "alpha_n"),
-        rows=list(table.rows),
-        checks=[
-            ReportCheck(
-                "alpha_n strictly increasing",
-                all(a < b for a, b in zip(alphas, alphas[1:])),
-                "roots bisected to width 1e-15",
-            ),
-            ReportCheck(
-                "every alpha_n below sqrt(2 + sqrt(5))",
-                all(a < tau_threshold() for a in alphas),
-                "strict",
-            ),
-        ],
-    )
-    return _emit_report(report, args)
+    return _emit_report(limit_point_report(args.n_max), args)
 
 
 def _cmd_converge(args) -> int:
@@ -237,8 +202,7 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_verify_nob(args) -> int:
-    ks = tuple(args.k) if args.k else (4, 6)
-    return _emit_report(verify_theorem_nob(args.n_max, ks=ks), args)
+    return _emit_report(verify_theorem_nob(args.n_max, ks=args.k), args)
 
 
 _COMMANDS = {

@@ -1,7 +1,7 @@
 """Enumeration-driven experiments with tabular, checkable reports.
 
-Each experiment returns an ExperimentReport: named columns of rows plus a
-list of pass/fail checks, renderable as aligned text or CSV (12
+Each report builder returns an ExperimentReport: named columns of rows and
+the pass/fail checks it decides, renderable as aligned text or CSV (12
 significant digits, verdicts PASS/FAIL).
 """
 
@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 from .constructions import cycle_graph, cycle_plus_pendant, generalized_power
 from .core import SimpleGraph, check_solver_controls
 from .enumeration import (
+    _MAX_N,
     _augmented_class_codes,
+    _check_range,
     _code_edges,
     canonical_code,
     enumerate_connected_graphs,
@@ -23,7 +25,9 @@ from .enumeration import (
     graph_from_code,
 )
 from .matrixspec import (
+    _ROOT_WIDTH,
     _converged_rho,
+    limit_point_table,
     pendant_cycle_rho_sequence,
     rho_adjacency_matrix,
     rho_signless_laplacian_matrix,
@@ -35,6 +39,8 @@ __all__ = [
     "ReportCheck",
     "ExperimentReport",
     "min_rho_search",
+    "min_rho_report",
+    "limit_point_report",
     "verify_theorem_nob",
     "convergence_report",
 ]
@@ -43,6 +49,8 @@ MATRIX_RHO = {
     "adjacency": rho_adjacency_matrix,
     "signless-laplacian": rho_signless_laplacian_matrix,
 }
+
+_TIE_WINDOW = 10.0  # radii within _TIE_WINDOW * tol of the smallest tie for the minimum
 
 
 @dataclass(frozen=True)
@@ -150,8 +158,7 @@ def min_rho_search(
     increasing order of it (ties in code order) until the first excluded
     one; a class is built and tested for bipartiteness only when reached.
     """
-    if not 4 <= n <= 8:
-        raise ValueError("n out of supported range: need 4 <= n <= 8")
+    _check_range(n, 4)
     if operator not in MATRIX_RHO:
         raise ValueError(f"unknown operator {operator!r}")
     check_solver_controls(tol, max_iter)
@@ -159,7 +166,7 @@ def min_rho_search(
     row_total = 2.0 if operator == "adjacency" else 4.0  # row sums add up to row_total * m
 
     def excluded(low: float) -> bool:
-        return low - tol * (low + 2.0) > best + 10.0 * tol
+        return low - tol * (low + 2.0) > best + _TIE_WINDOW * tol
 
     first = canonical_code(n, graph_code(cycle_graph(n) if n % 2 else cycle_plus_pendant(n)))
     g = graph_from_code(n, first)
@@ -180,21 +187,58 @@ def min_rho_search(
         rho = _converged_rho(rho_fn(g, tol=tol, max_iter=max_iter))
         solved.append((code, rho, g))
         best = min(best, rho)
-    argmin = [g for _, rho, g in sorted(solved) if rho - best <= 10.0 * tol]
+    argmin = [g for _, rho, g in sorted(solved) if rho - best <= _TIE_WINDOW * tol]
     return best, argmin
 
 
-def verify_theorem_nob(n_max: int, ks=(4, 6)) -> ExperimentReport:
+def min_rho_report(
+    n: int, operator: str = "adjacency", tol: float = 1e-10, max_iter: int = 1_000_000
+) -> ExperimentReport:
+    """min_rho_search as a report: one row per minimizer, and the check
+    that the minimizer is unique."""
+    rho, graphs = min_rho_search(n, operator, tol, max_iter)
+    return ExperimentReport(
+        name="minimum spectral radius over connected non-bipartite graphs",
+        params={"n": n, "operator": operator},
+        columns=("n", "operator", "rho_min", "argmin_edges"),
+        rows=[(n, operator, rho, " ".join(f"{u}-{v}" for u, v in g.edges)) for g in graphs],
+        checks=[
+            ReportCheck("unique minimizer", len(graphs) == 1, f"ties within {_TIE_WINDOW * tol:g}")
+        ],
+    )
+
+
+def limit_point_report(n_max: int) -> ExperimentReport:
+    """The rows of limit_point_table(n_max), checked to climb strictly and
+    to stay below sqrt(2 + sqrt(5))."""
+    rows = limit_point_table(n_max)
+    alphas = [row[2] for row in rows]
+    thr = tau_threshold()
+    increasing = all(a < b for a, b in zip(alphas, alphas[1:]))
+    bisected = f"roots bisected to width {_ROOT_WIDTH:g}"
+    return ExperimentReport(
+        name="limit point sequence alpha_n",
+        params={"n_max": n_max, "threshold": _fmt(thr)},
+        columns=("n", "beta_n", "alpha_n"),
+        rows=list(rows),
+        checks=[
+            ReportCheck("alpha_n strictly increasing", increasing, bisected),
+            ReportCheck("every alpha_n below sqrt(2 + sqrt(5))", max(alphas) < thr, "strict"),
+        ],
+    )
+
+
+def verify_theorem_nob(n_max: int, ks=None) -> ExperimentReport:
     """Check, class by class, that the k/2 blow-up of a connected graph is
     odd-bipartite exactly when the base graph is bipartite.
 
     Runs over every connected isomorphism class on 3..n_max vertices and
-    every even k in ks, a repeated k counted once. The single check
-    demands zero mismatches.
+    every even k in ks (4 and 6 when None), a repeated k counted once. The
+    single check demands zero mismatches.
     """
-    if not 3 <= n_max <= 8:
-        raise ValueError("n_max out of supported range: need 3 <= n_max <= 8")
-    ks = tuple(dict.fromkeys(ks))
+    if not 3 <= n_max <= _MAX_N:
+        raise ValueError(f"n_max out of supported range: need 3 <= n_max <= {_MAX_N}")
+    ks = tuple(dict.fromkeys((4, 6) if ks is None else ks))
     if not ks or any(k % 2 or k < 4 for k in ks):
         raise ValueError("each k must be even and at least 4")
     report = ExperimentReport(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .constructions import cycle_plus_pendant
 from .core import Hypergraph, check_graph
@@ -28,7 +27,6 @@ __all__ = [
     "beta_n",
     "alpha_n",
     "tau_threshold",
-    "LimitPointTable",
     "limit_point_table",
     "pendant_cycle_rho_sequence",
 ]
@@ -36,6 +34,7 @@ __all__ = [
 # Past this index consecutive beta_n are closer than double precision can
 # resolve, so "strictly increasing" stops being checkable.
 _MAX_LIMIT_INDEX = 64
+_ROOT_WIDTH = 1e-15  # beta_n bisects down to this width
 
 
 def rho_adjacency_matrix(
@@ -68,7 +67,7 @@ def beta_n(n: int) -> float:
 
     For n = 1 the root is exactly 1. For larger n, bisection runs on the
     rescaled form (x - 1) P_n(x) / x^n = (x^2 - x - 1) + x^{-n}, whose slope
-    stays O(1) near the root, down to width 1e-15 or until the midpoint
+    stays O(1) near the root, down to width _ROOT_WIDTH or until the midpoint
     stops moving.
     """
     try:
@@ -84,7 +83,7 @@ def beta_n(n: int) -> float:
         return (x * x - x - 1.0) + x ** (-n)
 
     lo, hi = 1.0, 2.0  # P_n(1) = 1 - n < 0 and P_n(2) = 2^n + 1 > 0
-    while hi - lo > 1e-15:
+    while hi - lo > _ROOT_WIDTH:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -113,22 +112,13 @@ def tau_threshold() -> float:
     return math.sqrt(2.0 + math.sqrt(5.0))
 
 
-@dataclass(frozen=True)
-class LimitPointTable:
-    """Rows (n, beta_n, alpha_n) for n = 1..n_max, with the limit threshold."""
-
-    rows: tuple[tuple[int, float, float], ...]
-    threshold: float
-
-
-def limit_point_table(n_max: int) -> LimitPointTable:
-    """Tabulate beta_n and alpha_n up to n_max (capped at 64, past which
+def limit_point_table(n_max: int) -> tuple[tuple[int, float, float], ...]:
+    """Rows (n, beta_n, alpha_n) for n = 1..n_max (capped at 64, past which
     consecutive values collide in double precision)."""
     if not 1 <= n_max <= _MAX_LIMIT_INDEX:
         raise ValueError(f"n_max must be in 1..{_MAX_LIMIT_INDEX}")
     betas = [beta_n(n) for n in range(1, n_max + 1)]
-    rows = tuple((n, beta, _alpha(beta)) for n, beta in enumerate(betas, start=1))
-    return LimitPointTable(rows, tau_threshold())
+    return tuple((n, beta, _alpha(beta)) for n, beta in enumerate(betas, start=1))
 
 
 def pendant_cycle_rho_sequence(

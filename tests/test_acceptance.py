@@ -289,8 +289,7 @@ def test_criterion_07_extremal_minimizers():
 
 def test_criterion_08_limit_point_sequence():
     t0 = time.perf_counter()
-    table = limit_point_table(40)
-    alphas = [row[2] for row in table.rows]
+    alphas = [row[2] for row in limit_point_table(40)]
     assert abs(alphas[0] - 2.0) <= 1e-12
     assert all(a < b for a, b in zip(alphas, alphas[1:]))
     thr = tau_threshold()

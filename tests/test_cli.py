@@ -171,6 +171,88 @@ class TestReportCommands:
         capsys.readouterr()
 
 
+class TestReportText:
+    """The full stdout of each report, byte for byte, where every printed
+    figure is exact (integer radii and counts, bisected roots); of
+    converge, all but the solved digits."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["minrho", "--n", "5"],
+                "minimum spectral radius over connected non-bipartite graphs\n"
+                "  n=5 operator=adjacency\n"
+                "n  operator   rho_min  argmin_edges       \n"
+                "5  adjacency  2        0-3 0-4 1-2 1-4 2-3\n"
+                "[PASS] unique minimizer (tolerance: ties within 1e-09)\n",
+            ),
+            (
+                ["minrho", "--n", "5", "--operator", "signless-laplacian", "--format", "csv"],
+                "n,operator,rho_min,argmin_edges\n"
+                "5,signless-laplacian,4,0-3 0-4 1-2 1-4 2-3\n"
+                "\n"
+                "check,verdict,tolerance\n"
+                "unique minimizer,PASS,ties within 1e-09\n",
+            ),
+            (
+                ["limitpoints", "--n-max", "4"],
+                "limit point sequence alpha_n\n"
+                "  n_max=4 threshold=2.05817102727\n"
+                "n  beta_n         alpha_n      \n"
+                "1  1              2            \n"
+                "2  1.32471795724  2.01980088709\n"
+                "3  1.46557123188  2.03663915206\n"
+                "4  1.53415774491  2.0459670571 \n"
+                "[PASS] alpha_n strictly increasing (tolerance: roots bisected to width 1e-15)\n"
+                "[PASS] every alpha_n below sqrt(2 + sqrt(5)) (tolerance: strict)\n",
+            ),
+            (
+                ["limitpoints", "--n-max", "4", "--format", "csv"],
+                "n,beta_n,alpha_n\n"
+                "1,1,2\n"
+                "2,1.32471795724,2.01980088709\n"
+                "3,1.46557123188,2.03663915206\n"
+                "4,1.53415774491,2.0459670571\n"
+                "\n"
+                "check,verdict,tolerance\n"
+                "alpha_n strictly increasing,PASS,roots bisected to width 1e-15\n"
+                "every alpha_n below sqrt(2 + sqrt(5)),PASS,strict\n",
+            ),
+            (
+                ["verify-nob", "--n-max", "4", "--k", "6", "--k", "4"],
+                "blow-up odd-bipartiteness versus base bipartiteness\n"
+                "  n_max=4 k=[6, 4]\n"
+                "n  k  classes  bipartite_bases  mismatches\n"
+                "3  6  2        1                0         \n"
+                "3  4  2        1                0         \n"
+                "4  6  6        3                0         \n"
+                "4  4  6        3                0         \n"
+                "[PASS] blow-up odd-bipartite exactly when base bipartite (tolerance: exact)\n",
+            ),
+        ],
+    )
+    def test_exact_stdout(self, capsys, argv, expected):
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_converge_text_apart_from_the_solved_digits(self, capsys):
+        # The radii's last digits may differ between numpy versions.
+        assert run_cli(["converge", "--n-max", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [
+            "pendant odd cycles approaching sqrt(2 + sqrt(5))",
+            "  n_max=3 limit=2.05817102727",
+        ]
+        assert lines[2].split() == ["n", "rho", "gap", "gap_bound"]
+        assert [row.split()[0] for row in lines[3:6]] == ["1", "2", "3"]
+        assert lines[6:] == [
+            "[PASS] gap strictly decreasing in n (tolerance: rho bracketed to 1e-10)",
+            "[PASS] every rho above sqrt(2 + sqrt(5)) (tolerance: strict)",
+            "[PASS] gap below deleted-edge-tree bound + 2/(2n+1) (tolerance: strict)",
+        ]
+
+
 class TestHostileControls:
     """Bad controls and hostile inputs exit 2 at once with one stderr line."""
 

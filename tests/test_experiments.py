@@ -14,6 +14,9 @@ from hypergraph_spectra import (
     enumerate_connected_nonbipartite,
     experiments,
     graph_code,
+    limit_point_report,
+    limit_point_table,
+    min_rho_report,
     min_rho_search,
     tau_threshold,
     verify_theorem_nob,
@@ -169,10 +172,34 @@ class TestEightVertices:
         assert report.rows[-2:] == [(8, 4, 11117, 182, 0), (8, 6, 11117, 182, 0)]
 
 
+class TestMinRhoReport:
+    def test_tie_window_widens_with_tol(self):
+        # The window that makes the 94 ties is the one the check names.
+        report = min_rho_report(6, tol=0.3)
+        assert len(report.rows) == 94
+        assert report.checks == [ReportCheck("unique minimizer", False, "ties within 3")]
+
+    def test_calls_the_search_through_the_module(self, monkeypatch):
+        ties = [cycle_graph(5), cycle_plus_pendant(5)]
+        monkeypatch.setattr(experiments, "min_rho_search", lambda *args: (2.0, ties))
+        report = min_rho_report(5, "adjacency", 1e-10, 10)
+        assert [row[2] for row in report.rows] == [2.0, 2.0]
+        assert not report.passed
+
+
+class TestLimitPointReport:
+    def test_rows_are_the_table_and_both_checks_pass(self):
+        report = limit_point_report(64)
+        assert report.rows == list(limit_point_table(64))
+        assert report.params == {"n_max": 64, "threshold": "2.05817102727"}
+        assert report.passed and len(report.checks) == 2
+
+
 class TestVerifyNob:
     def test_small_sweep_clean(self):
         report = verify_theorem_nob(5)
         assert report.passed
+        assert report.params["k"] == [4, 6]
         assert len(report.rows) == 6  # n in 3..5 times k in {4, 6}
         assert report.rows[0] == (3, 4, 2, 1, 0)
         assert report.rows[2] == (4, 4, 6, 3, 0)

@@ -247,18 +247,17 @@ class TestAlphaSequence:
 
 
 class TestLimitPointTable:
-    def test_rows_and_threshold(self):
-        table = limit_point_table(5)
-        assert len(table.rows) == 5
-        assert table.rows[0] == (1, 1.0, 2.0)
-        assert table.threshold == tau_threshold()
-        ns = [r[0] for r in table.rows]
+    def test_rows(self):
+        rows = limit_point_table(5)
+        assert len(rows) == 5
+        assert rows[0] == (1, 1.0, 2.0)
+        ns = [r[0] for r in rows]
         assert ns == [1, 2, 3, 4, 5]
 
     def test_rows_are_the_root_functions(self):
         # Each alpha comes from the beta already in its row.
-        table = limit_point_table(64)
-        assert table.rows == tuple((n, beta_n(n), alpha_n(n)) for n in range(1, 65))
+        rows = limit_point_table(64)
+        assert rows == tuple((n, beta_n(n), alpha_n(n)) for n in range(1, 65))
 
     def test_each_root_bisected_once(self, monkeypatch):
         calls = []
