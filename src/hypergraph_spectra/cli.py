@@ -41,18 +41,10 @@ from .fileio import (
     serialize_graph,
     serialize_hypergraph,
 )
-from .matrixspec import _converged_rho
 from .oddbip import odd_bipartition
-from .tensors import (
-    AdjacencyTensor,
-    SignlessLaplacianTensor,
-    power_iteration_rho,
-    rho_bounds,
-)
+from .tensors import _TENSORS, _converged_rho, power_iteration_rho, rho_bounds
 
 __all__ = ["run_cli", "main"]
-
-_TENSORS = {t.kind: t for t in (AdjacencyTensor, SignlessLaplacianTensor)}
 
 
 class _Parser(argparse.ArgumentParser):

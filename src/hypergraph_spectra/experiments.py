@@ -24,16 +24,9 @@ from .enumeration import (
     graph_code,
     graph_from_code,
 )
-from .matrixspec import (
-    _ROOT_WIDTH,
-    _converged_rho,
-    limit_point_table,
-    pendant_cycle_rho_sequence,
-    rho_adjacency_matrix,
-    rho_signless_laplacian_matrix,
-    tau_threshold,
-)
+from .matrixspec import _ROOT_WIDTH, limit_point_table, pendant_cycle_rho_sequence, tau_threshold
 from .oddbip import is_bipartite, odd_bipartition
+from .tensors import _TENSORS, AdjacencyTensor, _converged_rho, power_iteration_rho
 
 __all__ = [
     "ReportCheck",
@@ -44,11 +37,6 @@ __all__ = [
     "verify_theorem_nob",
     "convergence_report",
 ]
-
-MATRIX_RHO = {
-    "adjacency": rho_adjacency_matrix,
-    "signless-laplacian": rho_signless_laplacian_matrix,
-}
 
 _TIE_WINDOW = 10.0  # radii within _TIE_WINDOW * tol of the smallest tie for the minimum
 
@@ -159,10 +147,10 @@ def min_rho_search(
     one; a class is built and tested for bipartiteness only when reached.
     """
     _check_range(n, 4)
-    if operator not in MATRIX_RHO:
+    if operator not in _TENSORS:
         raise ValueError(f"unknown operator {operator!r}")
     check_solver_controls(tol, max_iter)
-    rho_fn = MATRIX_RHO[operator]
+    tensor = _TENSORS[operator]
     row_total = 2.0 if operator == "adjacency" else 4.0  # row sums add up to row_total * m
 
     def excluded(low: float) -> bool:
@@ -170,7 +158,7 @@ def min_rho_search(
 
     first = canonical_code(n, graph_code(cycle_graph(n) if n % 2 else cycle_plus_pendant(n)))
     g = graph_from_code(n, first)
-    best = _converged_rho(rho_fn(g, tol=tol, max_iter=max_iter))
+    best = _converged_rho(power_iteration_rho(tensor(g), tol, max_iter))
     solved: list[tuple[int, float, SimpleGraph]] = [(first, best, g)]
     # The incumbent has n edges and is never excluded by its own radius.
     budget = max(m for m in range(n, n * (n - 1) // 2 + 1) if not excluded(row_total * m / n))
@@ -184,7 +172,7 @@ def min_rho_search(
         g = graph_from_code(n, code)
         if is_bipartite(g) is not None:
             continue
-        rho = _converged_rho(rho_fn(g, tol=tol, max_iter=max_iter))
+        rho = _converged_rho(power_iteration_rho(tensor(g), tol, max_iter))
         solved.append((code, rho, g))
         best = min(best, rho)
     argmin = [g for _, rho, g in sorted(solved) if rho - best <= _TIE_WINDOW * tol]
@@ -297,7 +285,7 @@ def convergence_report(
     bounds_ok = True
     for n, rho in pendant_cycle_rho_sequence(n_max, tol=tol, max_iter=max_iter):
         tree = _deleted_edge_tree(n)
-        rho_tree = _converged_rho(rho_adjacency_matrix(tree, tol=tol, max_iter=max_iter))
+        rho_tree = _converged_rho(power_iteration_rho(AdjacencyTensor(tree), tol, max_iter))
         bound = rho_tree + 2.0 / (2 * n + 1) - thr
         gap = rho - thr
         gaps.append(gap)

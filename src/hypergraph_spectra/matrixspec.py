@@ -1,12 +1,11 @@
-"""Matrix spectral radii for base graphs, plus the limit-point sequences.
+"""The limit-point sequences, plus two named matrix radii for base graphs.
 
-rho(A(G)) and rho(Q(G)) for connected G are the radii of the order-2
-adjacency and signless Laplacian tensors of G, taken as a 2-uniform
-hypergraph, so the matrix and tensor sides share one solver and one
-SpectralResult: for k = 2 its Newton-Noda step is Noda's shifted inverse
-iteration.
+rho(A(G)) and rho(Q(G)) for a connected graph G are the radii of its
+order-2 tensors, G taken as a 2-uniform hypergraph: the two wrappers are
+check_graph plus power_iteration_rho, which the package's own radii call
+directly (for k = 2 its Newton-Noda step is Noda's shifted inverse iteration).
 
-The second half of the module tracks the classical limit point
+The rest of the module tracks the classical limit point
 sqrt(2 + sqrt(5)) = tau^{3/2}, tau the golden ratio: beta_n is the positive
 root of P_n(x) = x^{n+1} - (1 + x + ... + x^{n-1}) in (1, 2] and
 alpha_n = beta_n^{1/2} + beta_n^{-1/2} climbs strictly to the threshold.
@@ -19,7 +18,7 @@ import operator
 
 from .constructions import cycle_plus_pendant
 from .core import Hypergraph, check_graph
-from .tensors import AdjacencyTensor, SignlessLaplacianTensor, SpectralResult, power_iteration_rho
+from .tensors import AdjacencyTensor, SignlessLaplacianTensor, SpectralResult, _converged_rho, power_iteration_rho
 
 __all__ = [
     "rho_adjacency_matrix",
@@ -53,13 +52,6 @@ def rho_signless_laplacian_matrix(
     Laplacian tensor of g; g must be a connected graph."""
     check_graph(g)
     return power_iteration_rho(SignlessLaplacianTensor(g), tol, max_iter)
-
-
-def _converged_rho(result: SpectralResult) -> float:
-    """result.rho; RuntimeError when the solve ran out of iterations."""
-    if not result.converged:
-        raise RuntimeError(f"power iteration did not converge in {result.iterations} steps")
-    return result.rho
 
 
 def beta_n(n: int) -> float:
@@ -135,5 +127,5 @@ def pendant_cycle_rho_sequence(
     out = []
     for n in range(1, n_max + 1):
         g = cycle_plus_pendant(2 * n + 2)
-        out.append((n, _converged_rho(rho_adjacency_matrix(g, tol=tol, max_iter=max_iter))))
+        out.append((n, _converged_rho(power_iteration_rho(AdjacencyTensor(g), tol, max_iter))))
     return out

@@ -39,13 +39,15 @@ mixed with the last five by type-II Anderson acceleration (Walker and Ni,
 SIAM J. Numer. Anal. 49, 2011). A mix is used only when it is strictly
 positive, and one that widens the bracket is replaced by the power step
 it displaced. The reported bracket is that of the final positive vector,
-however it was found.
+however it was found. A step whose x^{[k-1]} would leave the normal double
+range, as on the paper's pendant odd cycles past a few thousand vertices,
+counts as failed; when it is the power step, the solve stops unconverged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,6 +98,8 @@ _SOLVE_SLOTS_PER_CUBE = 1 / 700
 # the Gram matrix's diagonal raised by this fraction of itself.
 _ANDERSON_DEPTH = 5
 _ANDERSON_RIDGE = 1e-12
+
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
 class AdjacencyTensor:
@@ -237,22 +241,25 @@ class SignlessLaplacianTensor(AdjacencyTensor):
         return super().row_sums() + self._deg
 
 
+_TENSORS = {t.kind: t for t in (AdjacencyTensor, SignlessLaplacianTensor)}  # by operator name
+
+
 @dataclass(frozen=True)
 class SpectralResult:
     """Outcome of power_iteration_rho.
 
-    rho is the midpoint of the final two-sided bracket [lower, upper];
-    residual is the bracket width upper - lower; the eigenvector is positive
-    and normalized to max entry 1.
+    rho is the midpoint of the final two-sided bracket [lower, upper]; the
+    eigenvector is positive and normalized to max entry 1. _underflow marks
+    a solve that stopped because its next power step would underflow.
     """
 
     rho: float
     eigenvector: np.ndarray
     iterations: int
-    residual: float
     converged: bool
     lower: float
     upper: float
+    _underflow: bool = field(default=False, repr=False, compare=False)
 
 
 def rho_bounds(t: AdjacencyTensor) -> tuple[float, float]:
@@ -345,6 +352,12 @@ def _scaled_solve(t: AdjacencyTensor, x: np.ndarray, lam: float, edge_system: bo
     return x * h_inv * (xk + np.bincount(E.ravel(), weights=np.repeat(prod * z, k), minlength=n))
 
 
+def _underflows(low: float, k: int) -> bool:
+    """True when low, the least entry of x (exactly that of x / top when
+    low / top), puts an entry of x^{[k-1]} below the normal double range."""
+    return low ** (k - 1) < _TINY
+
+
 def _newton_noda_step(t: AdjacencyTensor, x: np.ndarray, lam: float, edge_system: bool) -> np.ndarray | None:
     """Next iterate from positive x, with lam the current upper bound on rho.
 
@@ -357,8 +370,8 @@ def _newton_noda_step(t: AdjacencyTensor, x: np.ndarray, lam: float, edge_system
     M-matrix when lam > rho, so w > 0; then, by the AM-GM inequality on each
     edge term, every Collatz-Wielandt ratio of the result lies below lam.
     For k = 2 the mean is w itself, and the step is one solve: Noda's
-    shifted inverse iteration, w / max(w). None when the solve fails or the
-    result is not finite and strictly positive.
+    shifted inverse iteration, w / max(w). None when the solve fails, the
+    result is not finite and strictly positive, or it underflows.
     """
     k = t.order
     try:
@@ -367,8 +380,8 @@ def _newton_noda_step(t: AdjacencyTensor, x: np.ndarray, lam: float, edge_system
         return None
     if k > 2 and (w > 0).all():  # any other w fails the test below as it is
         w = x ** ((k - 2) / (k - 1)) * w ** (1.0 / (k - 1))
-    top = w.max()
-    if not (w.min() > 0 and top < math.inf):  # both false for NaN
+    low, top = w.min(), w.max()
+    if not (low > 0 and top < math.inf) or _underflows(low / top, k):  # NaN fails
         return None
     return w / top
 
@@ -386,7 +399,8 @@ class _AndersonMixer:
     power steps.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, k: int):
+        self._k = k
         self._dg = np.empty((_ANDERSON_DEPTH, n))
         self._df = np.empty((_ANDERSON_DEPTH, n))
         self._gram = np.empty((_ANDERSON_DEPTH, _ANDERSON_DEPTH))
@@ -418,8 +432,8 @@ class _AndersonMixer:
             self.clear()
             return g
         mixed = g - gamma @ self._dg
-        top = mixed.max()
-        if mixed.min() > 0 and top < math.inf:  # both false for NaN
+        low, top = mixed.min(), mixed.max()
+        if low > 0 and top < math.inf and not _underflows(low / top, self._k):  # false for NaN
             mixed /= top
             return mixed
         self.clear()
@@ -428,7 +442,7 @@ class _AndersonMixer:
 
 def _bracketed_iteration(t: AdjacencyTensor, tol: float, max_iter: int):
     """The loop behind power_iteration_rho. Returns (x, iterations, lower,
-    upper, converged) with the bracket of the ratios shifted by 1."""
+    upper, converged, underflow) with the bracket of the ratios shifted by 1."""
     k, n, m = t.order, t.dim, t.hypergraph.m
     slots = m * k
     # Newton-Noda steps solve the cheaper of the vertex and the edge system.
@@ -437,7 +451,7 @@ def _bracketed_iteration(t: AdjacencyTensor, tol: float, max_iter: int):
     edge_system = edge_price < vertex_price
     size, price = (m, edge_price) if edge_system else (n, vertex_price)
     newton_ready = size <= _NEWTON_MAX_DIM
-    mixer = None if newton_ready else _AndersonMixer(n)
+    mixer = None if newton_ready else _AndersonMixer(n, k)
     plain = None  # the power step an Anderson proposal x replaced
     newton = False
     x = np.ones(n)
@@ -450,7 +464,7 @@ def _bracketed_iteration(t: AdjacencyTensor, tol: float, max_iter: int):
         lower = float(s.min())
         upper = float(s.max())
         if upper - lower <= tol * upper:
-            return x, iterations, lower, upper, True
+            return x, iterations, lower, upper, True, False
         if plain is not None and upper - lower > width:
             # The proposal widened the bracket: back to the power step.
             x, plain = plain, None
@@ -464,12 +478,14 @@ def _bracketed_iteration(t: AdjacencyTensor, tol: float, max_iter: int):
         if step is None:
             step = y if k == 2 else y ** (1.0 / (k - 1))
             step /= step.max()
+            if _underflows(step.min(), k):
+                return x, iterations, lower, upper, False, True
             if mixer is not None:
                 plain, step = step, mixer.propose(x, step)
                 if step is plain:
                     plain = None
         x = step
-    return x, iterations, lower, upper, False
+    return x, iterations, lower, upper, False, False
 
 
 def power_iteration_rho(
@@ -495,21 +511,32 @@ def power_iteration_rho(
     out wider than the one before, gives way to the plain power step, and
     mixing pauses until five new power steps are recorded. Either way x stays
     positive with max entry 1, so the final bracket is a Collatz-Wielandt
-    bracket however x was found.
+    bracket however x was found. An x whose x^{[k-1]} has an entry below the
+    smallest normal double is never used: such a Newton-Noda step or mix
+    gives way to the power step, and such a power step ends the solve, with
+    converged=False and the bracket of the x it came from.
     """
     check_solver_controls(tol, max_iter)
     if not weakly_irreducible(t):
         raise ValueError("tensor is not weakly irreducible: the hypergraph is not connected")
-    x, iterations, lower, upper, converged = _bracketed_iteration(t, tol, max_iter)
+    x, iterations, lower, upper, converged, underflow = _bracketed_iteration(t, tol, max_iter)
     return SpectralResult(
         rho=0.5 * (lower + upper) - 1.0,
         eigenvector=x,
         iterations=iterations,
-        residual=upper - lower,
         converged=converged,
         lower=lower - 1.0,
         upper=upper - 1.0,
+        _underflow=underflow,
     )
+
+
+def _converged_rho(result: SpectralResult) -> float:
+    """result.rho; RuntimeError, naming why, when the solve did not converge."""
+    if not result.converged:
+        why = ": the eigenvector underflowed after" if result._underflow else " in"
+        raise RuntimeError(f"power iteration did not converge{why} {result.iterations} steps")
+    return result.rho
 
 
 def lift_vector(x, bmap: BlowupMap) -> np.ndarray:

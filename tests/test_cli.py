@@ -17,6 +17,7 @@ from hypergraph_spectra import (
     serialize_graph,
     serialize_hypergraph,
 )
+from hypergraph_spectra import tensors
 from hypergraph_spectra.cli import _build_parser
 
 
@@ -94,6 +95,17 @@ class TestSpectralCommands:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
         assert "converge" in captured.err
+
+    def test_rho_stops_on_underflow_with_its_reason(self, tmp_path, capsys):
+        # The Perron vector of Q on this pendant cycle underflows after about
+        # 10,400 steps; without the stop the run would go on to max_iter.
+        infile = write_hypergraph(tmp_path, cycle_plus_pendant(3000))
+        assert run_cli(["rho", "--operator", "signless-laplacian", "--in", infile]) == 1
+        captured = capsys.readouterr()
+        assert "converged = no" in captured.out
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: power iteration did not converge: ")
+        assert "underflow" in captured.err
 
     def test_rho_rejects_disconnected(self, tmp_path, capsys):
         h = Hypergraph(4, 8, ((0, 1, 2, 3), (4, 5, 6, 7)))
@@ -482,6 +494,13 @@ class TestUsage:
         }
         assert taken == {name: flags | {"--out"} for name, flags in FLAGS.items()}
         assert sum(map(len, taken.values())) == 44
+
+    def test_operator_choices_are_the_tensor_table(self):
+        (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        for command in ("rho", "bounds", "minrho"):
+            (operator,) = [a for a in sub.choices[command]._actions if "--operator" in a.option_strings]
+            assert list(operator.choices) == sorted(tensors._TENSORS)
+        assert sorted(tensors._TENSORS) == ["adjacency", "signless-laplacian"]
 
     @pytest.mark.parametrize("command", sorted(FLAGS))
     def test_help_exits_zero_on_stdout(self, capsys, command):

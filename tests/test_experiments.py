@@ -18,6 +18,8 @@ from hypergraph_spectra import (
     limit_point_table,
     min_rho_report,
     min_rho_search,
+    rho_adjacency_matrix,
+    rho_signless_laplacian_matrix,
     tau_threshold,
     verify_theorem_nob,
 )
@@ -64,8 +66,13 @@ class TestMinRhoSearch:
         with pytest.raises(ValueError):
             min_rho_search(5, max_iter=0)
 
+    def test_unknown_operator_is_named(self):
+        with pytest.raises(ValueError, match=r"^unknown operator 'bogus'$"):
+            min_rho_search(5, operator="bogus")
+
 
 ORACLES = [("adjacency", eig_rho_adjacency), ("signless-laplacian", eig_rho_signless)]
+RHO = {"adjacency": rho_adjacency_matrix, "signless-laplacian": rho_signless_laplacian_matrix}
 
 
 class TestDegreeBound:
@@ -98,13 +105,13 @@ class TestPrunedSearchMatchesFullScan:
     def test_minimum_and_minimisers(self, monkeypatch, n, operator, oracle):
         tol = 1e-10
         solved = []
-        rho_fn = experiments.MATRIX_RHO[operator]
+        solve = experiments.power_iteration_rho
 
-        def recording(g, **kwargs):
-            solved.append(g)
-            return rho_fn(g, **kwargs)
+        def recording(t, *args):
+            solved.append(t.hypergraph)
+            return solve(t, *args)
 
-        monkeypatch.setitem(experiments.MATRIX_RHO, operator, recording)
+        monkeypatch.setattr(experiments, "power_iteration_rho", recording)
         best, argmin = min_rho_search(n, operator=operator, tol=tol)
         graphs = list(enumerate_connected_nonbipartite(n))
         radii = [oracle(g) for g in graphs]
@@ -148,7 +155,7 @@ class TestPrunedSearchMatchesFullScan:
         # Loose tolerances widen the tie window until many classes tie, so
         # the minimisers must also come back in code order.
         radii = [
-            experiments.MATRIX_RHO[operator](g, tol=tol).rho
+            RHO[operator](g, tol=tol).rho
             for g in enumerate_connected_nonbipartite(n)
         ]
         best = min(radii)

@@ -137,7 +137,7 @@ def poly_value(n: int, x: Fraction) -> Fraction:
 
 
 class TestNodaSteps:
-    @pytest.mark.parametrize("failure", ["singular", "nonpositive"])
+    @pytest.mark.parametrize("failure", ["singular", "nonpositive", "underflow"])
     @pytest.mark.parametrize(
         "rho_fn, oracle",
         [
@@ -153,6 +153,8 @@ class TestNodaSteps:
             calls.append(m.shape)
             if failure == "singular":
                 raise np.linalg.LinAlgError("singular matrix")
+            if failure == "underflow":  # positive, but below the normal double range
+                return np.where(np.arange(len(b)) == 0, 1e-310, 1.0)
             return -np.ones_like(b)
 
         monkeypatch.setattr(np.linalg, "solve", broken)

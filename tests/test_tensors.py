@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -351,7 +352,7 @@ class TestPowerIteration:
         h = s_cycle(4, 2, 3)
         res = power_iteration_rho(AdjacencyTensor(h))
         assert res.rho == 2.0 and res.iterations == 1 and res.converged
-        assert res.residual == 0.0
+        assert res.upper - res.lower == 0.0
 
     def test_single_edge_values(self):
         h = s_path(6, 3, 1)
@@ -401,7 +402,7 @@ class TestPowerIteration:
         assert not res.converged and res.iterations == 2
         exact = power_iteration_rho(AdjacencyTensor(h)).rho
         assert res.lower <= exact <= res.upper
-        assert res.residual > 0
+        assert res.upper - res.lower > 0
 
     def test_reducible_rejected(self):
         with pytest.raises(ValueError):
@@ -534,12 +535,12 @@ class TestHalfEdgeConstancy:
     def test_detects_broken_symmetry(self):
         h, bmap = generalized_power(path_graph(2), 4, 2)
         vec = np.array([1.0, 0.5, 1.0, 1.0])
-        fake = SpectralResult(1.0, vec, 1, 0.0, True, 1.0, 1.0)
+        fake = SpectralResult(1.0, vec, 1, True, 1.0, 1.0)
         assert half_edge_constancy(fake, bmap) == 0.5
 
     def test_rejects_wrong_length(self):
         _, bmap = generalized_power(path_graph(2), 4, 2)
-        fake = SpectralResult(1.0, np.ones(3), 1, 0.0, True, 1.0, 1.0)
+        fake = SpectralResult(1.0, np.ones(3), 1, True, 1.0, 1.0)
         with pytest.raises(ValueError):
             half_edge_constancy(fake, bmap)
 
@@ -928,7 +929,7 @@ class TestAndersonAboveTheSizeCap:
         monkeypatch.setattr(tensors, "_bracketed_iteration", recorded)
         res = rho_fn(g, tol=1e-12)
         rho, vec = res.rho, res.eigenvector
-        ((x, iterations, lower, upper, converged),) = runs
+        ((x, iterations, lower, upper, converged, _),) = runs
         m = build(g)
         matrix = SimpleNamespace(order=2, dim=g.n, apply=lambda x: m @ x)
         reference = power_iteration_reference(matrix, 1e-12, 1_000_000)[0]
@@ -970,7 +971,7 @@ class TestAndersonAboveTheSizeCap:
         rng = np.random.default_rng(3)
         scales = [0.1, 1.0, 10.0]
         monkeypatch.setattr(np.linalg, "solve", lambda m, b: rng.normal(size=len(b)) * rng.choice(scales))
-        mixer = tensors._AndersonMixer(8)
+        mixer = tensors._AndersonMixer(8, 2)
         x = np.ones(8)
         plain_ahead = depth  # steps before the history is full
         mixed = failed = 0
@@ -990,6 +991,45 @@ class TestAndersonAboveTheSizeCap:
                 mixed += 1
             x = step
         assert mixed and failed
+
+
+class TestUnderflowStop:
+    """The Perron vector of a long pendant cycle decays geometrically away
+    from the pendant, so past a few thousand vertices its far entries leave
+    the normal double range and the bracket can no longer close."""
+
+    # 2 + theta, theta the real root of theta^3 - 4 theta - 4: the limit of
+    # rho(D + A) over the pendant odd cycles, reached in doubles long before
+    # 3000 vertices.
+    Q_LIMIT = 2.0 + max(r.real for r in np.roots([1, 0, -4, -4]) if abs(r.imag) < 1e-9)
+
+    def test_long_pendant_cycle_stops_instead_of_spinning(self):
+        start = time.perf_counter()
+        res = power_iteration_rho(SignlessLaplacianTensor(cycle_plus_pendant(3000)), tol=1e-10)
+        assert time.perf_counter() - start < 10.0
+        assert not res.converged and res._underflow and res.iterations < 1_000_000
+        assert contains(res.lower, res.upper, self.Q_LIMIT)
+        x = res.eigenvector
+        assert x.max() == 1.0 and x.min() >= np.finfo(float).tiny
+
+    def test_pendant_cycle_in_range_still_converges(self):
+        # Its least entry stays near 1e-209.
+        res = power_iteration_rho(AdjacencyTensor(cycle_plus_pendant(4000)), tol=1e-10)
+        assert res.converged and not res._underflow and res.iterations == 29_688
+        assert contains(res.lower, res.upper, math.sqrt(2.0 + math.sqrt(5.0)))
+
+    def test_anderson_mix_below_range_gives_the_power_step(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "solve", lambda m, b: np.zeros(len(b)))  # the mix is g
+        mixer = tensors._AndersonMixer(4, 3)
+        x = np.ones(4)
+        for i in range(tensors._ANDERSON_DEPTH + 1):
+            x = mixer.propose(x, np.array([1.0, 0.5, 0.25, 0.5 + i / 100]))
+        g = np.array([1.0, 0.5, 0.25, 0.5])
+        step = mixer.propose(x, g)
+        assert step is not g and np.array_equal(step, g)
+        # At k = 3 x^{[2]} underflows below about 1.5e-154.
+        g = np.array([1.0, 0.5, 1e-155, 0.5])
+        assert mixer.propose(x, g) is g
 
 
 @st.composite
