@@ -24,7 +24,7 @@ from .enumeration import (
     graph_code,
     graph_from_code,
 )
-from .matrixspec import _ROOT_WIDTH, limit_point_table, pendant_cycle_rho_sequence, tau_threshold
+from .matrixspec import _ROOT_WIDTH, _pendant_cycle_solves, limit_point_table, tau_threshold
 from .oddbip import is_bipartite, odd_bipartition
 from .tensors import _TENSORS, AdjacencyTensor, _converged_rho, power_iteration_rho
 
@@ -272,6 +272,10 @@ def convergence_report(
     Columns: n, rho, gap above the limit, and the bound on the gap from the
     subdivision argument, rho(deleted-edge tree) + 2/(2n+1) - limit. Checks:
     gaps strictly decreasing, all positive, and below the bound.
+
+    Both families are solved by continuation: the cycles as in
+    pendant_cycle_rho_sequence, and each deleted-edge tree, which keeps its
+    cycle's vertex labels, from that cycle's Perron vector.
     """
     if not 1 <= n_max <= 200:
         raise ValueError("n_max out of supported range: need 1 <= n_max <= 200")
@@ -283,9 +287,10 @@ def convergence_report(
     )
     gaps = []
     bounds_ok = True
-    for n, rho in pendant_cycle_rho_sequence(n_max, tol=tol, max_iter=max_iter):
-        tree = _deleted_edge_tree(n)
-        rho_tree = _converged_rho(power_iteration_rho(AdjacencyTensor(tree), tol, max_iter))
+    for n, cycle in _pendant_cycle_solves(n_max, tol, max_iter):
+        rho = _converged_rho(cycle)
+        tree = AdjacencyTensor(_deleted_edge_tree(n))
+        rho_tree = _converged_rho(power_iteration_rho(tree, tol, max_iter, start=cycle.eigenvector))
         bound = rho_tree + 2.0 / (2 * n + 1) - thr
         gap = rho - thr
         gaps.append(gap)

@@ -38,7 +38,8 @@ than 2048 there are no Newton-Noda steps; instead each power step is
 mixed with the last five by type-II Anderson acceleration (Walker and Ni,
 SIAM J. Numer. Anal. 49, 2011). A mix is used only when it is strictly
 positive, and one that widens the bracket is replaced by the power step
-it displaced. The reported bracket is that of the final positive vector,
+it displaced. The first vector is all ones, or a positive start of the
+caller's, and the reported bracket is that of the final positive vector,
 however it was found. A step whose x^{[k-1]} would leave the normal double
 range, as on the paper's pendant odd cycles past a few thousand vertices,
 counts as failed; when it is the power step, the solve stops unconverged.
@@ -440,9 +441,11 @@ class _AndersonMixer:
         return g
 
 
-def _bracketed_iteration(t: AdjacencyTensor, tol: float, max_iter: int):
-    """The loop behind power_iteration_rho. Returns (x, iterations, lower,
-    upper, converged, underflow) with the bracket of the ratios shifted by 1."""
+def _bracketed_iteration(t: AdjacencyTensor, x: np.ndarray, tol: float, max_iter: int):
+    """The loop behind power_iteration_rho, from x positive with max entry 1
+    and x^{[k-1]} normal. Returns (x, iterations, lower, upper, converged,
+    underflow) with the bracket of the ratios shifted by 1, evaluated at the
+    x returned."""
     k, n, m = t.order, t.dim, t.hypergraph.m
     slots = m * k
     # Newton-Noda steps solve the cheaper of the vertex and the edge system.
@@ -454,7 +457,6 @@ def _bracketed_iteration(t: AdjacencyTensor, tol: float, max_iter: int):
     mixer = None if newton_ready else _AndersonMixer(n, k)
     plain = None  # the power step an Anderson proposal x replaced
     newton = False
-    x = np.ones(n)
     lower = upper = width = math.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -465,6 +467,8 @@ def _bracketed_iteration(t: AdjacencyTensor, tol: float, max_iter: int):
         upper = float(s.max())
         if upper - lower <= tol * upper:
             return x, iterations, lower, upper, True, False
+        if iterations == max_iter:
+            break
         if plain is not None and upper - lower > width:
             # The proposal widened the bracket: back to the power step.
             x, plain = plain, None
@@ -489,12 +493,16 @@ def _bracketed_iteration(t: AdjacencyTensor, tol: float, max_iter: int):
 
 
 def power_iteration_rho(
-    t: AdjacencyTensor, tol: float = 1e-10, max_iter: int = 1_000_000
+    t: AdjacencyTensor, tol: float = 1e-10, max_iter: int = 1_000_000, *, start=None
 ) -> SpectralResult:
     """Spectral radius of the tensor of a connected hypergraph.
 
-    Starts from the all-ones vector x and, at each step, forms the ratios
-    y_i / x_i^{k-1} of y = T x^{k-1} + x^{[k-1]} (diagonal shift 1), which
+    Starts from the all-ones vector x or, when start is given, from start
+    rescaled to max entry 1: a vector near the Perron vector, such as that of
+    a graph just solved, saves steps. start must have shape (n,), be finite
+    and strictly positive, and, once rescaled, have x^{[k-1]} in the normal
+    double range; otherwise ValueError. At each step the loop forms the
+    ratios y_i / x_i^{k-1} of y = T x^{k-1} + x^{[k-1]} (diagonal shift 1), which
     enclose rho(T) + 1. The loop stops when that bracket is narrower than
     tol * upper and reports its midpoint minus the shift.
 
@@ -514,12 +522,22 @@ def power_iteration_rho(
     bracket however x was found. An x whose x^{[k-1]} has an entry below the
     smallest normal double is never used: such a Newton-Noda step or mix
     gives way to the power step, and such a power step ends the solve, with
-    converged=False and the bracket of the x it came from.
+    converged=False. However the solve started and stopped, the eigenvector
+    returned is the x whose bracket is reported.
     """
     check_solver_controls(tol, max_iter)
     if not weakly_irreducible(t):
         raise ValueError("tensor is not weakly irreducible: the hypergraph is not connected")
-    x, iterations, lower, upper, converged, underflow = _bracketed_iteration(t, tol, max_iter)
+    if start is None:
+        x = np.ones(t.dim)
+    else:
+        x = t._check_vector(start)
+        if not (np.isfinite(x).all() and (x > 0).all()):
+            raise ValueError("start must be finite and strictly positive")
+        x = x / x.max()
+        if _underflows(x.min(), t.order):
+            raise ValueError("start, at max entry 1, has an entry whose (k-1)th power is not a normal double")
+    x, iterations, lower, upper, converged, underflow = _bracketed_iteration(t, x, tol, max_iter)
     return SpectralResult(
         rho=0.5 * (lower + upper) - 1.0,
         eigenvector=x,

@@ -250,6 +250,36 @@ class TestConvergenceReport:
         for _, _, gap, bound in report.rows:
             assert 0 < gap < bound
 
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    def test_rows_agree_with_cold_solves(self, tol):
+        # Each tree starts from its cycle's Perron vector, and each cycle
+        # from its predecessor's.
+        thr = tau_threshold()
+        for n, rho, gap, bound in convergence_report(50, tol=tol).rows:
+            cycle = rho_adjacency_matrix(cycle_plus_pendant(2 * n + 2), tol=tol).rho
+            tree = rho_adjacency_matrix(experiments._deleted_edge_tree(n), tol=tol).rho
+            assert abs(rho - cycle) <= tol * cycle and gap == rho - thr
+            assert abs(bound - (tree + 2.0 / (2 * n + 1) - thr)) <= tol * tree
+
+    def test_trees_start_from_their_cycle(self, monkeypatch):
+        cycles, starts = [], []
+        solve_cycle = experiments._pendant_cycle_solves
+        solve_tree = experiments.power_iteration_rho
+
+        def recorded_cycles(*args):
+            for n, res in solve_cycle(*args):
+                cycles.append(res.eigenvector)
+                yield n, res
+
+        def recorded_tree(t, tol, max_iter, *, start):
+            starts.append(start)
+            return solve_tree(t, tol, max_iter, start=start)
+
+        monkeypatch.setattr(experiments, "_pendant_cycle_solves", recorded_cycles)
+        monkeypatch.setattr(experiments, "power_iteration_rho", recorded_tree)
+        assert convergence_report(5).passed
+        assert len(starts) == 5 and all(s is x for s, x in zip(starts, cycles))
+
     def test_deleted_edge_trees_match_the_cut_cycle(self):
         # The spiders are built from their legs, not by cutting the cycle.
         for n in range(1, 61):

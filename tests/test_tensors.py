@@ -404,6 +404,18 @@ class TestPowerIteration:
         assert res.lower <= exact <= res.upper
         assert res.upper - res.lower > 0
 
+    def test_unconverged_vector_is_the_bracketed_one(self):
+        # The bracket belongs to the eigenvector returned, not to the vector
+        # one step before it.
+        t = AdjacencyTensor(s_path(4, 2, 3))
+        res = power_iteration_rho(t, tol=1e-14, max_iter=2)
+        assert not res.converged
+        x = res.eigenvector
+        xk = x ** (t.order - 1)
+        shifted = (t.apply(x) + xk) / xk
+        assert (res.lower, res.upper) == (shifted.min() - 1.0, shifted.max() - 1.0)
+        assert math.isclose(res.lower, 1.3104, abs_tol=1e-4) and math.isclose(res.upper, 1.7631, abs_tol=1e-4)
+
     def test_reducible_rejected(self):
         with pytest.raises(ValueError):
             power_iteration_rho(AdjacencyTensor(DISJOINT_PAIR))
@@ -430,6 +442,84 @@ class TestPowerIteration:
     def test_tol_floor_itself_allowed(self):
         res = power_iteration_rho(AdjacencyTensor(s_cycle(4, 2, 3)), tol=1e-14)
         assert res.converged
+
+
+def same_result(a: SpectralResult, b: SpectralResult) -> bool:
+    """Bit for bit the same solve."""
+    fields = ("rho", "lower", "upper", "iterations", "converged")
+    return all(getattr(a, f) == getattr(b, f) for f in fields) and np.array_equal(a.eigenvector, b.eigenvector)
+
+
+class TestStartVector:
+    @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
+    @pytest.mark.parametrize(
+        "h", [s_path(4, 2, 3), generalized_power(cycle_plus_pendant(22), 4, 2)[0], cycle_plus_pendant(42)]
+    )
+    def test_none_is_the_all_ones_vector(self, cls, h):
+        t = cls(h)
+        res = power_iteration_rho(t, tol=1e-13)
+        assert same_result(res, power_iteration_rho(t, tol=1e-13, start=np.ones(h.n)))
+        # A start is rescaled to max entry 1, exactly so for a power of two.
+        assert same_result(res, power_iteration_rho(t, tol=1e-13, start=[4.0] * h.n))
+
+    @pytest.mark.parametrize(
+        "k, entry",
+        [
+            (2, 0.0),
+            (2, -0.5),
+            (2, math.nan),
+            (2, math.inf),
+            (2, 1e-310),  # subnormal itself
+            (3, 1e-160),  # its square is subnormal
+            (4, 1e-110),  # its cube is subnormal
+        ],
+    )
+    def test_bad_entry_rejected(self, k, entry):
+        h = s_path(k, 1, 2)
+        start = np.ones(h.n)
+        start[-1] = entry
+        with pytest.raises(ValueError, match="start"):
+            power_iteration_rho(AdjacencyTensor(h), start=start)
+
+    @pytest.mark.parametrize("shape", [(4,), (6,), (5, 1), ()])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="length 5"):
+            power_iteration_rho(AdjacencyTensor(s_path(3, 1, 2)), start=np.ones(shape))
+
+    def test_normal_power_accepted_and_start_not_modified(self):
+        h = s_path(3, 1, 2)  # k = 3: 1e-150 squared is still normal
+        start = np.full(h.n, 2.0)
+        start[0] = 2e-150
+        kept = start.copy()
+        res = power_iteration_rho(AdjacencyTensor(h), start=start)
+        assert res.converged and np.array_equal(start, kept)
+
+    def test_converged_eigenvector_restarts_in_one_iteration(self):
+        t = AdjacencyTensor(s_cycle(4, 2, 3))  # a regular lift
+        res = power_iteration_rho(t)
+        again = power_iteration_rho(t, start=res.eigenvector)
+        assert again.iterations == 1 and same_result(res, again)
+        # Also with a tiny spectral gap: the vector returned is the one whose
+        # bracket converged.
+        for cls in (AdjacencyTensor, SignlessLaplacianTensor):
+            t = cls(pendant_lift(20)[0])
+            res = power_iteration_rho(t, tol=1e-13)
+            again = power_iteration_rho(t, tol=1e-13, start=res.eigenvector)
+            assert again.iterations == 1 and (again.lower, again.upper) == (res.lower, res.upper)
+
+    @pytest.mark.parametrize(
+        "cls, oracle", [(AdjacencyTensor, eig_rho_adjacency), (SignlessLaplacianTensor, eig_rho_signless)]
+    )
+    def test_any_positive_start_brackets_the_radius(self, cls, oracle):
+        h, g = pendant_lift(10)
+        t = cls(h)
+        start = np.random.default_rng(3).uniform(0.01, 5.0, h.n)
+        res = power_iteration_rho(t, tol=1e-12, start=start)
+        assert res.converged and contains(res.lower, res.upper, oracle(g))
+        x = res.eigenvector
+        xk = x ** (t.order - 1)
+        shifted = (t.apply(x) + xk) / xk
+        assert (res.lower, res.upper) == (shifted.min() - 1.0, shifted.max() - 1.0)
 
 
 @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
