@@ -8,6 +8,7 @@ edge are legal; an empty vertex set is not.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -268,11 +269,15 @@ _MIN_TOL = 1e-14
 
 
 def check_solver_controls(tol: float, max_iter: int) -> None:
-    """Reject an iteration's controls unless tol is in [1e-14, 1) and
-    max_iter is at least 1. A NaN or infinite tol would otherwise make
-    every stopping test fail or pass at once, and a tol below what doubles
-    resolve makes it fail until the iteration cap."""
-    if not _MIN_TOL <= tol < 1.0:  # also false for NaN
+    """Reject an iteration's controls unless tol is a real number in
+    [1e-14, 1) and max_iter an integer of at least 1. A NaN or infinite tol
+    would otherwise make every stopping test fail or pass at once, and a tol
+    below what doubles resolve makes it fail until the iteration cap."""
+    if not (isinstance(tol, numbers.Real) and _MIN_TOL <= tol < 1.0):  # also false for NaN
         raise ValueError(f"tol must be in [{_MIN_TOL:g}, 1), got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    try:
+        valid = operator.index(max_iter) >= 1
+    except TypeError:  # as for k and n: floats, strings and None are refused
+        valid = False
+    if not valid:
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")

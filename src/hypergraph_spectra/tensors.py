@@ -15,34 +15,43 @@ entrywise power. For nonnegative weakly irreducible tensors the spectral
 radius is the unique eigenvalue with a strictly positive eigenvector, and the
 Collatz-Wielandt ratios at any positive vector bracket it from both sides.
 
-The solver evaluates that bracket once per step and stops when it is narrow
-enough. Between two evaluations it takes a step of the shifted power
-iteration (Ng, Qi and Zhou, SIAM J. Matrix Anal. Appl. 2009) or a
-Newton-Noda step (after Guo, Lin and Liu, Numer. Math. 137, 2017): one
-dense linear solve of one scaled system, which converges quadratically
-near the radius and, up to rounding, never raises the upper bound. That
-system is a diagonal minus one rank-one term per edge, so the step solves
-it either as the n x n vertex system or, by the Woodbury identity, as an
-m x m edge system, whichever costs less; hypergraphs with fewer edges
-than vertices, such as the half-edge lifts and loose paths, take the edge
-system. A graph's (k = 2) vertex system is its matrix with a shifted
-diagonal, and the matrix does not depend on x: its negation is built once
-per tensor, on its first step, so each step is one copy, one diagonal
-shift and one solve. Newton-Noda steps
-start once the power steps taken, or those still needed by the bracket's
-contraction, would cost more than the about ten Newton-Noda steps (four
-for k = 2) that finish; so inputs with a clear spectral gap stay on power
-steps. A step whose solve fails or whose solution is not strictly
-positive is a power step too. When the system solved would be larger
-than 2048 there are no Newton-Noda steps; instead each power step is
-mixed with the last five by type-II Anderson acceleration (Walker and Ni,
-SIAM J. Numer. Anal. 49, 2011). A mix is used only when it is strictly
-positive, and one that widens the bracket is replaced by the power step
-it displaced. The first vector is all ones, or a positive start of the
-caller's, and the reported bracket is that of the final positive vector,
-however it was found. A step whose x^{[k-1]} would leave the normal double
-range, as on the paper's pendant odd cycles past a few thousand vertices,
-counts as failed; when it is the power step, the solve stops unconverged.
+The solver, power_iteration_rho, evaluates that bracket once per step, on
+the shifted operator T + I: the ratios y_i / x_i^{k-1} of y = T x^{k-1} +
+x^{[k-1]} enclose rho(T) + 1, and the solve stops when they are no wider
+than tol times their upper end. Between two evaluations it takes a step of
+the shifted power iteration (Ng, Qi and Zhou, SIAM J. Matrix Anal. Appl.
+2009), x = y^{[1/(k-1)]}, or a Newton-Noda step (after Guo, Lin and Liu,
+Numer. Math. 137, 2017): one dense linear solve of one scaled system, which
+converges quadratically near the radius and, up to rounding, never raises
+the upper bound. That system is a diagonal minus one rank-one term per
+edge, so the step solves it either as the n x n vertex system or, by the
+Woodbury identity, as an m x m edge system, whichever costs less;
+hypergraphs with fewer edges than vertices, such as the half-edge lifts and
+loose paths, take the edge system. A graph's (k = 2) vertex system is its
+matrix with a shifted diagonal, and the matrix does not depend on x: its
+negation is built once per tensor, on its first step, so each step is one
+copy, one diagonal shift and one solve (Noda's shifted inverse iteration).
+Newton-Noda steps start once the power steps taken, or those still needed
+by the bracket's contraction, would cost more than the about ten
+Newton-Noda steps (four for k = 2) that finish; so inputs with a clear
+spectral gap stay on power steps. When the system solved would be larger
+than 2048 there are no Newton-Noda steps; instead each power step is mixed
+with the last five by type-II Anderson acceleration (Walker and Ni, SIAM
+J. Numer. Anal. 49, 2011). A mix whose bracket turns out wider than the one
+before is replaced by the power step it displaced, and mixing pauses until
+five new power steps are recorded.
+
+Every vector the solve uses, whether its start (all ones, or a start of the
+caller's), a power step, a Newton-Noda step or an Anderson mix, passes one
+test, _rescaled: it is finite and strictly positive, and rescaled to max
+entry 1 its x^{[k-1]} stays in the normal double range, where the ratios
+keep enough bits for the bracket to close. A Newton-Noda step or mix that
+fails the test, or a solve that fails, gives way to the power step; a power
+step that fails it ends the solve unconverged, as on the paper's pendant odd
+cycles past a few thousand vertices, whose Perron vector decays
+geometrically away from the pendant. So every bracket reported is a
+Collatz-Wielandt bracket, evaluated at the positive vector returned with
+it, however that vector was found and however the solve stopped.
 """
 
 from __future__ import annotations
@@ -353,10 +362,16 @@ def _scaled_solve(t: AdjacencyTensor, x: np.ndarray, lam: float, edge_system: bo
     return x * h_inv * (xk + np.bincount(E.ravel(), weights=np.repeat(prod * z, k), minlength=n))
 
 
-def _underflows(low: float, k: int) -> bool:
-    """True when low, the least entry of x (exactly that of x / top when
-    low / top), puts an entry of x^{[k-1]} below the normal double range."""
-    return low ** (k - 1) < _TINY
+def _rescaled(v: np.ndarray, k: int) -> np.ndarray | None:
+    """v / max(v) when v is finite and strictly positive and the (k-1)th
+    power of every entry of v / max(v) is a normal double; else None. The one
+    test of every vector a solve may use: its start, power steps,
+    Newton-Noda steps and Anderson mixes. min(v / top) is exactly
+    min(v) / top, so the test reads the two extremes only."""
+    low, top = v.min(), v.max()
+    if not (low > 0 and top < math.inf) or (low / top) ** (k - 1) < _TINY:  # NaN fails
+        return None
+    return v / top
 
 
 def _newton_noda_step(t: AdjacencyTensor, x: np.ndarray, lam: float, edge_system: bool) -> np.ndarray | None:
@@ -371,20 +386,17 @@ def _newton_noda_step(t: AdjacencyTensor, x: np.ndarray, lam: float, edge_system
     M-matrix when lam > rho, so w > 0; then, by the AM-GM inequality on each
     edge term, every Collatz-Wielandt ratio of the result lies below lam.
     For k = 2 the mean is w itself, and the step is one solve: Noda's
-    shifted inverse iteration, w / max(w). None when the solve fails, the
-    result is not finite and strictly positive, or it underflows.
+    shifted inverse iteration, w / max(w). None when the solve fails or its
+    result fails _rescaled.
     """
     k = t.order
     try:
         w = _scaled_solve(t, x, lam, edge_system)
     except np.linalg.LinAlgError:
         return None
-    if k > 2 and (w > 0).all():  # any other w fails the test below as it is
+    if k > 2 and (w > 0).all():  # any other w fails _rescaled as it is
         w = x ** ((k - 2) / (k - 1)) * w ** (1.0 / (k - 1))
-    low, top = w.min(), w.max()
-    if not (low > 0 and top < math.inf) or _underflows(low / top, k):  # NaN fails
-        return None
-    return w / top
+    return _rescaled(w, k)
 
 
 class _AndersonMixer:
@@ -395,9 +407,8 @@ class _AndersonMixer:
     dF of their residuals f = g - x, with the Gram matrix of dF updated one
     row per step. Once the history is full it proposes g - dG gamma, gamma
     the lightly regularised least squares solution of dF gamma = f. A
-    proposal that is not finite and strictly positive, or a failed solve,
-    clears the history and leaves g; the history then refills over plain
-    power steps.
+    proposal that fails _rescaled, or a failed solve, clears the history and
+    leaves g; the history then refills over plain power steps.
     """
 
     def __init__(self, n: int, k: int):
@@ -429,23 +440,20 @@ class _AndersonMixer:
             return g
         try:
             gamma = np.linalg.solve(self._gram * self._ridge, self._df @ f)
+            mixed = _rescaled(g - gamma @ self._dg, self._k)
         except np.linalg.LinAlgError:
+            mixed = None
+        if mixed is None:
             self.clear()
             return g
-        mixed = g - gamma @ self._dg
-        low, top = mixed.min(), mixed.max()
-        if low > 0 and top < math.inf and not _underflows(low / top, self._k):  # false for NaN
-            mixed /= top
-            return mixed
-        self.clear()
-        return g
+        return mixed
 
 
-def _bracketed_iteration(t: AdjacencyTensor, x: np.ndarray, tol: float, max_iter: int):
+def _bracketed_iteration(t: AdjacencyTensor, x: np.ndarray, tol: float, max_iter: int) -> SpectralResult:
     """The loop behind power_iteration_rho, from x positive with max entry 1
-    and x^{[k-1]} normal. Returns (x, iterations, lower, upper, converged,
-    underflow) with the bracket of the ratios shifted by 1, evaluated at the
-    x returned."""
+    and x^{[k-1]} normal, and the one place a solve ends: it leaves at
+    convergence, at max_iter or when the next power step fails _rescaled,
+    and reports the bracket evaluated at the x it returns."""
     k, n, m = t.order, t.dim, t.hypergraph.m
     slots = m * k
     # Newton-Noda steps solve the cheaper of the vertex and the edge system.
@@ -456,18 +464,16 @@ def _bracketed_iteration(t: AdjacencyTensor, x: np.ndarray, tol: float, max_iter
     newton_ready = size <= _NEWTON_MAX_DIM
     mixer = None if newton_ready else _AndersonMixer(n, k)
     plain = None  # the power step an Anderson proposal x replaced
-    newton = False
-    lower = upper = width = math.inf
-    iterations = 0
+    newton = underflow = False
+    width = math.inf
     for iterations in range(1, max_iter + 1):
         xk = x if k == 2 else x ** (k - 1)  # x ** 1 is x itself
         y = t.apply(x, xk) + xk
         s = y / xk
         lower = float(s.min())
         upper = float(s.max())
-        if upper - lower <= tol * upper:
-            return x, iterations, lower, upper, True, False
-        if iterations == max_iter:
+        converged = upper - lower <= tol * upper
+        if converged or iterations == max_iter:
             break
         if plain is not None and upper - lower > width:
             # The proposal widened the bracket: back to the power step.
@@ -480,64 +486,15 @@ def _bracketed_iteration(t: AdjacencyTensor, x: np.ndarray, tol: float, max_iter
         width = upper - lower
         step = _newton_noda_step(t, x, upper - 1.0, edge_system) if newton else None
         if step is None:
-            step = y if k == 2 else y ** (1.0 / (k - 1))
-            step /= step.max()
-            if _underflows(step.min(), k):
-                return x, iterations, lower, upper, False, True
+            step = _rescaled(y if k == 2 else y ** (1.0 / (k - 1)), k)
+            underflow = step is None
+            if underflow:
+                break
             if mixer is not None:
                 plain, step = step, mixer.propose(x, step)
                 if step is plain:
                     plain = None
         x = step
-    return x, iterations, lower, upper, False, False
-
-
-def power_iteration_rho(
-    t: AdjacencyTensor, tol: float = 1e-10, max_iter: int = 1_000_000, *, start=None
-) -> SpectralResult:
-    """Spectral radius of the tensor of a connected hypergraph.
-
-    Starts from the all-ones vector x or, when start is given, from start
-    rescaled to max entry 1: a vector near the Perron vector, such as that of
-    a graph just solved, saves steps. start must have shape (n,), be finite
-    and strictly positive, and, once rescaled, have x^{[k-1]} in the normal
-    double range; otherwise ValueError. At each step the loop forms the
-    ratios y_i / x_i^{k-1} of y = T x^{k-1} + x^{[k-1]} (diagonal shift 1), which
-    enclose rho(T) + 1. The loop stops when that bracket is narrower than
-    tol * upper and reports its midpoint minus the shift.
-
-    Otherwise x moves on by the power step x = y^{[1/(k-1)]}, rescaled to
-    max entry 1, until the power steps taken, or those the bracket's
-    contraction over the last one says are still needed, would cost more
-    than the Newton-Noda steps that finish (about ten, four for k = 2);
-    from then on, by Newton-Noda steps. Each solves the n x n vertex
-    system or the m x m edge system, whichever is cheaper, and only when
-    that system has size at most 2048; a Newton-Noda step whose linear
-    solve fails or whose result is not strictly positive is replaced by the
-    power step. Above that size each power step is Anderson-mixed with the
-    last five; a mix that is not strictly positive, or whose bracket turns
-    out wider than the one before, gives way to the plain power step, and
-    mixing pauses until five new power steps are recorded. Either way x stays
-    positive with max entry 1, so the final bracket is a Collatz-Wielandt
-    bracket however x was found. An x whose x^{[k-1]} has an entry below the
-    smallest normal double is never used: such a Newton-Noda step or mix
-    gives way to the power step, and such a power step ends the solve, with
-    converged=False. However the solve started and stopped, the eigenvector
-    returned is the x whose bracket is reported.
-    """
-    check_solver_controls(tol, max_iter)
-    if not weakly_irreducible(t):
-        raise ValueError("tensor is not weakly irreducible: the hypergraph is not connected")
-    if start is None:
-        x = np.ones(t.dim)
-    else:
-        x = t._check_vector(start)
-        if not (np.isfinite(x).all() and (x > 0).all()):
-            raise ValueError("start must be finite and strictly positive")
-        x = x / x.max()
-        if _underflows(x.min(), t.order):
-            raise ValueError("start, at max entry 1, has an entry whose (k-1)th power is not a normal double")
-    x, iterations, lower, upper, converged, underflow = _bracketed_iteration(t, x, tol, max_iter)
     return SpectralResult(
         rho=0.5 * (lower + upper) - 1.0,
         eigenvector=x,
@@ -547,6 +504,42 @@ def power_iteration_rho(
         upper=upper - 1.0,
         _underflow=underflow,
     )
+
+
+def power_iteration_rho(
+    t: AdjacencyTensor, tol: float = 1e-10, max_iter: int = 1_000_000, *, start=None
+) -> SpectralResult:
+    """Spectral radius of the tensor of a connected hypergraph, bracketed;
+    the module docstring describes the steps.
+
+    Start: the all-ones vector or, when start is given, start rescaled to max
+    entry 1. A start must pass the test every iterate passes: shape (n,),
+    finite and strictly positive, and at max entry 1 every entry's (k-1)th
+    power a normal double. A vector near the Perron vector, such as that of
+    a graph just solved, saves steps.
+
+    Stop: each step evaluates the Collatz-Wielandt ratios of the current x,
+    shifted by 1, and the solve ends at the first of
+    - a shifted bracket no wider than tol times its upper end: converged=True;
+    - the max_iter-th bracket: converged=False;
+    - a power step whose x^{[k-1]} would leave the normal double range:
+      converged=False and _underflow=True.
+    Each stop returns the last bracket [lower, upper], shifted back, its
+    midpoint as rho, the number of brackets evaluated as iterations, and as
+    eigenvector the x, positive with max entry 1, at which that bracket was
+    evaluated.
+
+    Errors: ValueError for a tol that is not a real number in [1e-14, 1), a
+    max_iter that is not an integer of at least 1, a hypergraph that is not
+    connected, or a start that fails the test above.
+    """
+    check_solver_controls(tol, max_iter)
+    if not weakly_irreducible(t):
+        raise ValueError("tensor is not weakly irreducible: the hypergraph is not connected")
+    x = np.ones(t.dim) if start is None else _rescaled(t._check_vector(start), t.order)
+    if x is None:
+        raise ValueError("start must be finite, strictly positive and, at max entry 1, have normal (k-1)th powers")
+    return _bracketed_iteration(t, x, tol, max_iter)
 
 
 def _converged_rho(result: SpectralResult) -> float:

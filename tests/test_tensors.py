@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import re
 import time
 from types import SimpleNamespace
 
@@ -16,12 +17,15 @@ from hypergraph_spectra import (
     SignlessLaplacianTensor,
     SimpleGraph,
     SpectralResult,
+    convergence_report,
     cycle_graph,
     cycle_plus_pendant,
     generalized_power,
     half_edge_constancy,
     is_connected,
     lift_vector,
+    min_rho_search,
+    pendant_cycle_rho_sequence,
     power_iteration_rho,
     rho_adjacency_matrix,
     rho_bounds,
@@ -60,6 +64,12 @@ def star(r: int) -> SimpleGraph:
 def ratios(t, x: np.ndarray) -> np.ndarray:
     """Collatz-Wielandt ratios (T x^{k-1})_i / x_i^{k-1}."""
     return t.apply(x) / x ** (t.order - 1)
+
+
+def shifted_ratios(t, x: np.ndarray) -> np.ndarray:
+    """The ratios of T + I at x, computed as the solver computes them."""
+    xk = x ** (t.order - 1)
+    return (t.apply(x) + xk) / xk
 
 
 def random_hypergraph(rng: random.Random, k: int, n: int, m: int) -> Hypergraph:
@@ -404,17 +414,25 @@ class TestPowerIteration:
         assert res.lower <= exact <= res.upper
         assert res.upper - res.lower > 0
 
-    def test_unconverged_vector_is_the_bracketed_one(self):
-        # The bracket belongs to the eigenvector returned, not to the vector
-        # one step before it.
-        t = AdjacencyTensor(s_path(4, 2, 3))
-        res = power_iteration_rho(t, tol=1e-14, max_iter=2)
-        assert not res.converged
-        x = res.eigenvector
-        xk = x ** (t.order - 1)
-        shifted = (t.apply(x) + xk) / xk
-        assert (res.lower, res.upper) == (shifted.min() - 1.0, shifted.max() - 1.0)
-        assert math.isclose(res.lower, 1.3104, abs_tol=1e-4) and math.isclose(res.upper, 1.7631, abs_tol=1e-4)
+    @pytest.mark.parametrize(
+        "stop, tensor, controls",
+        [
+            ("converged", AdjacencyTensor(s_path(4, 2, 3)), {}),
+            ("max_iter", AdjacencyTensor(s_path(4, 2, 3)), {"tol": 1e-14, "max_iter": 2}),
+            ("underflow", SignlessLaplacianTensor(cycle_plus_pendant(3000)), {}),
+        ],
+        ids=["converged", "max_iter", "underflow"],
+    )
+    def test_returned_vector_is_the_bracketed_one(self, stop, tensor, controls):
+        # At every stop the bracket belongs to the eigenvector returned, not
+        # to the vector one step before or after it.
+        res = power_iteration_rho(tensor, **controls)
+        assert (res.converged, res._underflow) == (stop == "converged", stop == "underflow")
+        shifted = shifted_ratios(tensor, res.eigenvector)
+        assert (res.lower + 1.0, res.upper + 1.0) == (shifted.min(), shifted.max())
+        assert res.rho == 0.5 * (shifted.min() + shifted.max()) - 1.0
+        if stop == "max_iter":
+            assert math.isclose(res.lower, 1.3104, abs_tol=1e-4) and math.isclose(res.upper, 1.7631, abs_tol=1e-4)
 
     def test_reducible_rejected(self):
         with pytest.raises(ValueError):
@@ -426,6 +444,15 @@ class TestPowerIteration:
             power_iteration_rho(t, tol=0.0)
         with pytest.raises(ValueError):
             power_iteration_rho(t, max_iter=0)
+        # Controls of the wrong type: one ValueError naming the value, not a
+        # TypeError from deep inside the solve.
+        for controls in ({"max_iter": 1e6}, {"max_iter": 1.5}, {"max_iter": None}, {"tol": "1e-10"}):
+            ((name, value),) = controls.items()
+            with pytest.raises(ValueError, match=f"{name} .*{re.escape(repr(value))}"):
+                power_iteration_rho(t, **controls)
+        for solve, args in ((min_rho_search, (4,)), (convergence_report, (3,)), (pendant_cycle_rho_sequence, (3,))):
+            with pytest.raises(ValueError, match=r"max_iter .*1000000\.0"):
+                solve(*args, max_iter=1e6)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 1.0, 2.5])
     def test_nonfinite_or_large_tol_rejected(self, tol):
@@ -516,9 +543,7 @@ class TestStartVector:
         start = np.random.default_rng(3).uniform(0.01, 5.0, h.n)
         res = power_iteration_rho(t, tol=1e-12, start=start)
         assert res.converged and contains(res.lower, res.upper, oracle(g))
-        x = res.eigenvector
-        xk = x ** (t.order - 1)
-        shifted = (t.apply(x) + xk) / xk
+        shifted = shifted_ratios(t, res.eigenvector)
         assert (res.lower, res.upper) == (shifted.min() - 1.0, shifted.max() - 1.0)
 
 
@@ -1012,20 +1037,21 @@ class TestAndersonAboveTheSizeCap:
         runs = []
         loop = tensors._bracketed_iteration
 
-        def recorded(*args):
-            runs.append(loop(*args))
-            return runs[-1]
+        def recorded(t, *args):
+            runs.append((t, loop(t, *args)))
+            return runs[-1][1]
 
         monkeypatch.setattr(tensors, "_bracketed_iteration", recorded)
         res = rho_fn(g, tol=1e-12)
-        rho, vec = res.rho, res.eigenvector
-        ((x, iterations, lower, upper, converged, _),) = runs
+        ((t, run),) = runs
         m = build(g)
         matrix = SimpleNamespace(order=2, dim=g.n, apply=lambda x: m @ x)
         reference = power_iteration_reference(matrix, 1e-12, 1_000_000)[0]
-        assert converged and iterations <= 1.25 * reference
-        assert np.array_equal(vec, x) and rho == 0.5 * (lower + upper) - 1.0
-        assert contains(lower - 1.0, upper - 1.0, oracle(g))
+        assert run.converged and run.iterations <= 1.25 * reference
+        shifted = shifted_ratios(t, run.eigenvector)
+        assert (run.lower + 1.0, run.upper + 1.0) == (shifted.min(), shifted.max())
+        assert res is run and run.rho == 0.5 * (shifted.min() + shifted.max()) - 1.0
+        assert contains(run.lower, run.upper, oracle(g))
 
     @pytest.mark.parametrize("failure", ["singular", "nan", "garbage"])
     @pytest.mark.parametrize("cls", [AdjacencyTensor, SignlessLaplacianTensor])
