@@ -16,9 +16,7 @@ from hypergraph_spectra import (
     half_edge_constancy,
     lift_vector,
     power_iteration_rho,
-    rho_adjacency_matrix,
     rho_bounds,
-    rho_signless_laplacian_matrix,
 )
 
 paw = cycle_plus_pendant(4)
@@ -26,13 +24,14 @@ paw = cycle_plus_pendant(4)
 for k in (4, 6):
     h, bmap = generalized_power(paw, k, k // 2)
     print(f"paw^{{{k},{k // 2}}}: n = {h.n}, m = {h.m}")
-    for tensor_cls, matrix_fn, label in (
-        (AdjacencyTensor, rho_adjacency_matrix, "adjacency"),
-        (SignlessLaplacianTensor, rho_signless_laplacian_matrix, "signless Laplacian"),
+    for tensor_cls, label in (
+        (AdjacencyTensor, "adjacency"),
+        (SignlessLaplacianTensor, "signless Laplacian"),
     ):
         t = tensor_cls(h)
         res = power_iteration_rho(t, tol=1e-12)
-        matrix = matrix_fn(paw, tol=1e-12)
+        # the base graph is the k = 2 hypergraph, so its matrix radius is a tensor solve too
+        matrix = power_iteration_rho(tensor_cls(paw), tol=1e-12)
         rho_m, vec = matrix.rho, matrix.eigenvector
         print(f"  {label}:")
         print(f"    tensor rho = {res.rho:.12f}  ({res.iterations} iterations, "

@@ -8,11 +8,12 @@ paths, up on pendant tails).
 """
 
 from hypergraph_spectra import (
+    AdjacencyTensor,
     cycle_plus_pendant,
     enumerate_connected_graphs,
     internal_path_edges,
     min_rho_search,
-    rho_adjacency_matrix,
+    power_iteration_rho,
     subdivide,
     verify_theorem_nob,
 )
@@ -32,15 +33,15 @@ print()
 
 # subdivision monotonicity on a cycle with one pendant vertex
 g = cycle_plus_pendant(6)
-rho0 = rho_adjacency_matrix(g).rho
+rho0 = power_iteration_rho(AdjacencyTensor(g)).rho
 print(f"C_5 + pendant: rho(A) = {rho0:.12f}")
 print("internal-path (cycle) edges:", sorted(internal_path_edges(g)))
 for u, w in sorted(internal_path_edges(g))[:2]:
-    rho1 = rho_adjacency_matrix(subdivide(g, u, w)).rho
+    rho1 = power_iteration_rho(AdjacencyTensor(subdivide(g, u, w))).rho
     print(f"  subdividing ({u},{w}): rho -> {rho1:.12f}  (down)")
 tail = subdivide(g, 0, 1)
-rho_tail = rho_adjacency_matrix(tail).rho
-rho_long = rho_adjacency_matrix(subdivide(tail, 0, g.n)).rho
+rho_tail = power_iteration_rho(AdjacencyTensor(tail)).rho
+rho_long = power_iteration_rho(AdjacencyTensor(subdivide(tail, 0, g.n))).rho
 print(f"  lengthening the pendant tail: {rho_tail:.12f} -> {rho_long:.12f}  (up)")
 print()
 

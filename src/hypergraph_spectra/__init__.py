@@ -35,10 +35,15 @@ from .enumeration import (
 from .experiments import (
     ExperimentReport,
     ReportCheck,
+    alpha_n,
+    beta_n,
     convergence_report,
     limit_point_report,
+    limit_point_table,
     min_rho_report,
     min_rho_search,
+    pendant_cycle_rho_sequence,
+    tau_threshold,
     verify_theorem_nob,
 )
 from .fileio import (
@@ -49,15 +54,7 @@ from .fileio import (
     serialize_graph,
     serialize_hypergraph,
 )
-from .matrixspec import (
-    alpha_n,
-    beta_n,
-    limit_point_table,
-    pendant_cycle_rho_sequence,
-    rho_adjacency_matrix,
-    rho_signless_laplacian_matrix,
-    tau_threshold,
-)
+from .matrixspec import rho_adjacency_matrix, rho_signless_laplacian_matrix
 from .oddbip import (
     ParitySystem,
     gf2_solve,

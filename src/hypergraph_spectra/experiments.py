@@ -3,6 +3,13 @@
 Each report builder returns an ExperimentReport: named columns of rows and
 the pass/fail checks it decides, renderable as aligned text or CSV (12
 significant digits, verdicts PASS/FAIL).
+
+Two of the reports track the classical limit point
+sqrt(2 + sqrt(5)) = tau^{3/2}, tau the golden ratio: beta_n is the positive
+root of P_n(x) = x^{n+1} - (1 + x + ... + x^{n-1}) in (1, 2] and
+alpha_n = beta_n^{1/2} + beta_n^{-1/2} climbs strictly to the threshold.
+The pendant odd cycles fall to it from above; they are solved in order,
+each from the Perron vector of the one before.
 """
 
 from __future__ import annotations
@@ -10,7 +17,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .constructions import cycle_graph, cycle_plus_pendant, generalized_power
 from .core import SimpleGraph, check_solver_controls
@@ -24,7 +34,6 @@ from .enumeration import (
     graph_code,
     graph_from_code,
 )
-from .matrixspec import _ROOT_WIDTH, _pendant_cycle_solves, limit_point_table, tau_threshold
 from .oddbip import is_bipartite, odd_bipartition
 from .tensors import _TENSORS, AdjacencyTensor, _converged_rho, power_iteration_rho
 
@@ -33,12 +42,21 @@ __all__ = [
     "ExperimentReport",
     "min_rho_search",
     "min_rho_report",
+    "beta_n",
+    "alpha_n",
+    "tau_threshold",
+    "limit_point_table",
     "limit_point_report",
     "verify_theorem_nob",
+    "pendant_cycle_rho_sequence",
     "convergence_report",
 ]
 
 _TIE_WINDOW = 10.0  # radii within _TIE_WINDOW * tol of the smallest tie for the minimum
+# Past this index consecutive beta_n are closer than double precision can
+# resolve, so "strictly increasing" stops being checkable.
+_MAX_LIMIT_INDEX = 64
+_ROOT_WIDTH = 1e-15  # beta_n bisects down to this width
 
 
 @dataclass(frozen=True)
@@ -196,6 +214,65 @@ def min_rho_report(
     )
 
 
+def beta_n(n: int) -> float:
+    """Positive root of P_n(x) = x^{n+1} - (1 + x + ... + x^{n-1}) in (1, 2].
+
+    For n = 1 the root is exactly 1. For larger n, bisection runs on the
+    rescaled form (x - 1) P_n(x) / x^n = (x^2 - x - 1) + x^{-n}, whose slope
+    stays O(1) near the root, down to width _ROOT_WIDTH or until the midpoint
+    stops moving.
+    """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"index must be an integer, got {n!r}") from None
+    if n < 1:
+        raise ValueError("index must be at least 1")
+    if n == 1:
+        return 1.0
+
+    def f(x: float) -> float:
+        return (x * x - x - 1.0) + x ** (-n)
+
+    lo, hi = 1.0, 2.0  # P_n(1) = 1 - n < 0 and P_n(2) = 2^n + 1 > 0
+    while hi - lo > _ROOT_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        val = f(mid)
+        if val == 0.0:
+            return mid
+        if val < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def alpha_n(n: int) -> float:
+    """alpha_n = beta_n^{1/2} + beta_n^{-1/2}; alpha_1 = 2 exactly."""
+    return _alpha(beta_n(n))
+
+
+def _alpha(beta: float) -> float:
+    root = math.sqrt(beta)
+    return root + 1.0 / root
+
+
+def tau_threshold() -> float:
+    """sqrt(2 + sqrt(5)), the strict upper limit of the alpha_n."""
+    return math.sqrt(2.0 + math.sqrt(5.0))
+
+
+def limit_point_table(n_max: int) -> tuple[tuple[int, float, float], ...]:
+    """Rows (n, beta_n, alpha_n) for n = 1..n_max (capped at 64, past which
+    consecutive values collide in double precision)."""
+    if not 1 <= n_max <= _MAX_LIMIT_INDEX:
+        raise ValueError(f"n_max must be in 1..{_MAX_LIMIT_INDEX}")
+    betas = [beta_n(n) for n in range(1, n_max + 1)]
+    return tuple((n, beta, _alpha(beta)) for n, beta in enumerate(betas, start=1))
+
+
 def limit_point_report(n_max: int) -> ExperimentReport:
     """The rows of limit_point_table(n_max), checked to climb strictly and
     to stay below sqrt(2 + sqrt(5))."""
@@ -255,13 +332,50 @@ def verify_theorem_nob(n_max: int, ks=None) -> ExperimentReport:
     return report
 
 
+def _prolonged(x: np.ndarray) -> np.ndarray:
+    """A vector on the labels of cycle_plus_pendant(2n + 2) carried over to
+    cycle_plus_pendant(2n + 4): the two new cycle vertices go in at the edge
+    (n+1, n+2) opposite the branch vertex 1, and take the entries of its
+    ends, x[:n+2] + [x[n+1], x[n+2]] + x[n+2:]."""
+    half = len(x) // 2  # n + 1
+    return np.concatenate((x[: half + 1], x[half : half + 2], x[half + 1 :]))
+
+
+def _pendant_cycle_solves(n_max: int, tol: float, max_iter: int):
+    """Yield (n, SpectralResult of A(cycle_plus_pendant(2n + 2))) for
+    n = 1..n_max, by continuation: n = 1 starts from the all-ones vector,
+    and each later cycle from its predecessor's eigenvector, prolonged."""
+    start = None
+    for n in range(1, n_max + 1):
+        t = AdjacencyTensor(cycle_plus_pendant(2 * n + 2))
+        result = power_iteration_rho(t, tol, max_iter, start=start)
+        yield n, result
+        start = _prolonged(result.eigenvector)
+
+
+def pendant_cycle_rho_sequence(
+    n_max: int, tol: float = 1e-10, max_iter: int = 1_000_000
+) -> list[tuple[int, float]]:
+    """(n, rho(A(C_{2n+1} + pendant edge))) for n = 1..n_max.
+
+    The base graph is cycle_plus_pendant(2n + 2): an odd cycle of length
+    2n+1 with one pendant vertex. The sequence decreases strictly toward
+    sqrt(2 + sqrt(5)) from above. The cycles are solved in order, each
+    starting from the Perron vector of the one before with two entries
+    repeated at the edge opposite the pendant, which takes about half the
+    steps of starting each from the all-ones vector; each radius is still
+    that of its own converged Collatz-Wielandt bracket.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    return [(n, _converged_rho(result)) for n, result in _pendant_cycle_solves(n_max, tol, max_iter)]
+
+
 def _deleted_edge_tree(n: int) -> SimpleGraph:
-    """C_{2n+1} plus pendant with the cycle edge opposite the branch vertex
-    removed: a spider with legs n, n, 1. On the vertices of
-    cycle_plus_pendant(2n + 2), the legs are 1-0, 1-2-...-(n+1) and
-    1-(2n+1)-2n-...-(n+2)."""
-    legs = [(0, 1), (1, 2 * n + 1)] + [(i, i + 1) for i in range(1, 2 * n + 1) if i != n + 1]
-    return SimpleGraph(2 * n + 2, tuple(legs))
+    """cycle_plus_pendant(2n + 2) less its cycle edge (n+1, n+2), the one
+    opposite the branch vertex 1: a spider with legs n, n, 1."""
+    g = cycle_plus_pendant(2 * n + 2)
+    return SimpleGraph(g.n, tuple(e for e in g.edges if e != (n + 1, n + 2)))
 
 
 def convergence_report(

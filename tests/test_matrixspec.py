@@ -18,7 +18,7 @@ from hypergraph_spectra import (
     t_graph,
     tau_threshold,
 )
-from hypergraph_spectra import matrixspec
+from hypergraph_spectra import experiments
 
 from helpers import adjacency_matrix, eig_rho_adjacency, eig_rho_signless, path_graph
 
@@ -263,8 +263,8 @@ class TestLimitPointTable:
 
     def test_each_root_bisected_once(self, monkeypatch):
         calls = []
-        root = matrixspec.beta_n
-        monkeypatch.setattr(matrixspec, "beta_n", lambda n: calls.append(n) or root(n))
+        root = experiments.beta_n
+        monkeypatch.setattr(experiments, "beta_n", lambda n: calls.append(n) or root(n))
         limit_point_table(10)
         assert calls == list(range(1, 11))
 
@@ -292,30 +292,30 @@ class TestPendantCycleSequence:
             pendant_cycle_rho_sequence(0)
 
     def test_prolonged_vector(self):
-        for n, res in matrixspec._pendant_cycle_solves(50, 1e-10, 1_000_000):
+        for n, res in experiments._pendant_cycle_solves(50, 1e-10, 1_000_000):
             x = res.eigenvector
-            p = matrixspec._prolonged(x)
+            p = experiments._prolonged(x)
             assert len(p) == 2 * n + 4 and (p > 0).all() and p.max() == 1.0
             assert list(p) == list(x[: n + 2]) + [x[n + 1], x[n + 2]] + list(x[n + 2 :])
 
     def test_each_cycle_starts_from_the_last(self, monkeypatch):
-        solve = matrixspec.power_iteration_rho
+        solve = experiments.power_iteration_rho
         runs = []
 
         def recorded(t, tol, max_iter, *, start):
             runs.append((start, solve(t, tol, max_iter, start=start)))
             return runs[-1][1]
 
-        monkeypatch.setattr(matrixspec, "power_iteration_rho", recorded)
+        monkeypatch.setattr(experiments, "power_iteration_rho", recorded)
         pendant_cycle_rho_sequence(6, tol=1e-13)
         assert runs[0][0] is None
         for (_, before), (start, _) in zip(runs, runs[1:]):
-            assert np.array_equal(start, matrixspec._prolonged(before.eigenvector))
+            assert np.array_equal(start, experiments._prolonged(before.eigenvector))
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-13])
     def test_warm_radii_agree_with_cold_ones(self, tol):
         warm_steps = cold_steps = 0
-        for n, res in matrixspec._pendant_cycle_solves(50, tol, 1_000_000):
+        for n, res in experiments._pendant_cycle_solves(50, tol, 1_000_000):
             cold = rho_adjacency_matrix(cycle_plus_pendant(2 * n + 2), tol=tol)
             assert res.converged and abs(res.rho - cold.rho) <= tol * cold.rho
             warm_steps += res.iterations
